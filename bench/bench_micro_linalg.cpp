@@ -427,13 +427,11 @@ void BM_KernelSpmvRow(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSpmvRow)->Arg(0)->Arg(1)->Arg(2);
 
-// ---- mini-batch step path: fork-join barrier vs dataflow graph ----
-// The same synchronized mini-batch epoch (sgd/step_path) under both
-// schedulers: the legacy pooled loop (one fork-join barrier per batch)
-// and the TaskGraph path (the whole epoch as one dependency graph, no
-// per-batch barrier; DESIGN.md §15). Sparse LR with deliberately light
-// per-batch arithmetic so the scheduling floor dominates. Reproduce the
-// committed numbers:
+// ---- mini-batch step path: dataflow graph ----
+// One synchronized mini-batch epoch (sgd/step_path) on the TaskGraph
+// path (the whole epoch as one dependency graph, no per-batch barrier;
+// DESIGN.md §15). Sparse LR with deliberately light per-batch arithmetic
+// so the scheduling floor dominates. Reproduce the committed numbers:
 //   ./bench/bench_micro_linalg --benchmark_filter=StepPath
 //       --benchmark_out=micro_linalg_steppath.json
 //       --benchmark_out_format=json
@@ -464,7 +462,7 @@ struct StepPathProblem {
   }
 };
 
-void step_path_epoch_bench(benchmark::State& state, GraphMode mode) {
+void BM_StepPath_Graph(benchmark::State& state) {
   const StepPathProblem p;
   const std::vector<real_t> w0 = p.model.init_params(5);
   std::vector<real_t> w = w0;
@@ -473,7 +471,6 @@ void step_path_epoch_bench(benchmark::State& state, GraphMode mode) {
   MinibatchEpochOptions opts;
   opts.minibatch = kStepPathBatch;
   opts.pool = &pool;
-  opts.graph = mode;
   Rng order(31);
   for (auto _ : state) {
     w = w0;  // keep every epoch numerically identical
@@ -488,14 +485,6 @@ void step_path_epoch_bench(benchmark::State& state, GraphMode mode) {
   state.counters["batches_per_epoch"] = static_cast<double>(batches);
 }
 
-void BM_StepPath_Barrier(benchmark::State& state) {
-  step_path_epoch_bench(state, GraphMode::kOff);
-}
-BENCHMARK(BM_StepPath_Barrier)->Arg(2)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_StepPath_Graph(benchmark::State& state) {
-  step_path_epoch_bench(state, GraphMode::kOn);
-}
 BENCHMARK(BM_StepPath_Graph)->Arg(2)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 // GPU-simulated SpMV: measures simulator overhead per nonzero and reports
@@ -693,10 +682,8 @@ int run_calibration_report(const std::string& dir) {
               gemm_best_speedup);
   rep.add_entry(std::move(cal));
 
-  // Step-path scheduling overhead: the same mini-batch epoch under the
-  // per-batch fork-join barrier vs the dataflow task graph, so the
-  // barrier/graph delta is diffable across commits like the kernel
-  // speedups above.
+  // Step-path scheduling overhead: one mini-batch epoch on the dataflow
+  // task graph, diffable across commits like the kernel speedups above.
   {
     const StepPathProblem p;
     const std::vector<real_t> w0 = p.model.init_params(5);
@@ -706,31 +693,21 @@ int run_calibration_report(const std::string& dir) {
     Rng order(31);
     const double batches = static_cast<double>(
         (kStepPathRows + kStepPathBatch - 1) / kStepPathBatch);
-    auto epoch_secs = [&](GraphMode mode) {
-      MinibatchEpochOptions opts;
-      opts.minibatch = kStepPathBatch;
-      opts.pool = &pool;
-      opts.graph = mode;
-      return best_secs_per_call(
-          [&] {
-            w = w0;
-            run_minibatch_epoch(p.model, p.data, real_t(0.05), w, order,
-                                faults, nullptr, opts);
-          },
-          /*reps=*/40, /*trials=*/5);
-    };
-    const double barrier_secs = epoch_secs(GraphMode::kOff);
-    const double graph_secs = epoch_secs(GraphMode::kOn);
+    MinibatchEpochOptions opts;
+    opts.minibatch = kStepPathBatch;
+    opts.pool = &pool;
+    const double graph_secs = best_secs_per_call(
+        [&] {
+          w = w0;
+          run_minibatch_epoch(p.model, p.data, real_t(0.05), w, order,
+                              faults, nullptr, opts);
+        },
+        /*reps=*/40, /*trials=*/5);
     report::Entry sp;
     sp.label = "step_path/minibatch";
-    sp.extras.emplace_back("barrier_us_per_batch",
-                           barrier_secs * 1e6 / batches);
     sp.extras.emplace_back("graph_us_per_batch", graph_secs * 1e6 / batches);
-    sp.extras.emplace_back("graph_speedup", barrier_secs / graph_secs);
-    std::printf("  step_path     barrier %8.1f us/batch  graph %8.1f "
-                "us/batch  (%.2fx)\n",
-                barrier_secs * 1e6 / batches, graph_secs * 1e6 / batches,
-                barrier_secs / graph_secs);
+    std::printf("  step_path     graph %8.1f us/batch\n",
+                graph_secs * 1e6 / batches);
     rep.add_entry(std::move(sp));
   }
 

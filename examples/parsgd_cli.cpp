@@ -6,8 +6,7 @@
 //   ./parsgd_cli --task=LR --dataset=rcv1 --engine=async/cpu-par/sparse
 //                --alpha=0.1 --epochs=60 [--threads=56] [--scale=200]
 //
-// --engine takes a full spec string (see DESIGN.md §10); the legacy
-// --update/--arch pair is still accepted and assembled into a spec.
+// --engine takes a full spec string (see DESIGN.md §10) and is required.
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -42,11 +41,8 @@ namespace {
                "error: %s\n"
                "usage: parsgd_cli --task=LR|SVM|MLP --dataset=<name>\n"
                "       --engine=<update/arch/layout[:key=value,...]>\n"
-               "       (or legacy: --update=sync|async"
-               " --arch=cpu-seq|cpu-par|gpu)\n"
                "       [--alpha=0.1] [--epochs=60] [--threads=56]\n"
-               "       [--scale=200] [--seed=42]\n"
-               "       [--watchdog] [--resilience=off|watchdog|full]\n"
+               "       [--scale=200] [--seed=42] [--resilience=off|full]\n"
                "       [--checkpoint=<path>] [--checkpoint-every=N|Ts]"
                " [--resume=<path>]\n"
                "       [--telemetry=off|metrics|trace]"
@@ -110,6 +106,12 @@ int run(int argc, char** argv) {
   if (task != "LR" && task != "SVM" && task != "MLP") {
     usage("unknown --task");
   }
+  if (engine_arg.empty()) usage("missing --engine");
+  std::string spec_error;
+  const std::optional<EngineSpec> parsed =
+      try_parse_spec(engine_arg, &spec_error);
+  if (!parsed) usage(("malformed --engine spec: " + spec_error).c_str());
+  EngineSpec spec = *parsed;
 
   // Data + model.
   GeneratorOptions gen;
@@ -117,42 +119,12 @@ int run(int argc, char** argv) {
   gen.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   Dataset base = generate_dataset(dataset, gen);
   Dataset ds = task == "MLP" ? make_mlp_dataset(base) : std::move(base);
-  const bool dense = task == "MLP" ? ds.x_dense.has_value()
-                                   : ds.profile.dense;
 
   std::unique_ptr<Model> model;
   if (task == "LR") model = std::make_unique<LogisticRegression>(ds.d());
   else if (task == "SVM") model = std::make_unique<LinearSvm>(ds.d());
   else model = std::make_unique<Mlp>(ds.profile.mlp_architecture());
 
-  // Engine spec: --engine verbatim, or assembled from the legacy
-  // --update/--arch pair (layout follows the dataset, MLP switches to
-  // the dispatch-fee calibration with B=64 batches).
-  EngineSpec spec;
-  if (!engine_arg.empty()) {
-    std::string spec_error;
-    const std::optional<EngineSpec> parsed =
-        try_parse_spec(engine_arg, &spec_error);
-    if (!parsed) {
-      usage(("malformed --engine spec: " + spec_error).c_str());
-    }
-    spec = *parsed;
-  } else {
-    const std::string update = cli.get("update", "async");
-    const std::string arch_name = cli.get("arch", "cpu-par");
-    if (update == "sync") spec.update = Update::kSync;
-    else if (update == "async") spec.update = Update::kAsync;
-    else usage("unknown --update");
-    if (arch_name == "cpu-seq") spec.arch = Arch::kCpuSeq;
-    else if (arch_name == "cpu-par") spec.arch = Arch::kCpuPar;
-    else if (arch_name == "gpu") spec.arch = Arch::kGpu;
-    else usage("unknown --arch");
-    spec.layout = dense ? Layout::kDense : Layout::kSparse;
-    if (task == "MLP") {
-      spec.calibration = Calibration::kMlp;
-      spec.batch = 64;
-    }
-  }
   if (spec.layout == Layout::kDense && !ds.x_dense) {
     usage("dense layout requested but the dataset has no dense "
           "materialization");
@@ -197,7 +169,6 @@ int run(int argc, char** argv) {
       static_cast<int>(log_level()) > static_cast<int>(LogLevel::kInfo)) {
     set_log_level(LogLevel::kInfo);  // heartbeats log at INFO
   }
-  t.watchdog.enabled = cli.get_bool("watchdog", false);
   // --resilience overrides a resilience= key in the spec string; either
   // way the resolved mode becomes the supervisor policy (DESIGN.md §16).
   if (const std::string res_arg = cli.get("resilience", "");
@@ -206,7 +177,7 @@ int run(int argc, char** argv) {
         parse_resilience_mode(res_arg);
     if (!mode) {
       usage(("unknown --resilience mode '" + res_arg +
-             "' (expected off, watchdog or full)").c_str());
+             "' (expected off or full)").c_str());
     }
     spec.resilience = *mode;
   }

@@ -24,11 +24,6 @@ ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 PARSGD_FORCE_SCALAR=1 \
     ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
 
-# Same gate once more with the task-graph step path disabled (graph=auto
-# resolves to the legacy pooled loop), so both schedulers stay green.
-PARSGD_GRAPH=off \
-    ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j"$(nproc)"
-
 # Fault-sweep lane: drive the resilience supervisor (DESIGN.md §16)
 # against each injected fault class at tier-1 speed. Every run must
 # converge cleanly — the supervisor absorbs the faults — and the
@@ -99,7 +94,7 @@ rm -rf "$obs_tmp"
 # and the supervisor suite joins it (EWMA gate + ladder state touched
 # from every pool worker). The cluster simulator joins both sanitizer
 # lanes: its delay ring and sharding cursors are fresh memory-layout
-# code, and its pooled batch steps cross worker threads. The flight
+# code, and its batched unit steps cross worker threads. The flight
 # recorder joins both lanes too: its seqlock ring is raw index math over
 # a flat buffer (ASan) read concurrently with the writer (TSan), and
 # the telemetry exporters render snapshots while instruments are live.
@@ -137,7 +132,7 @@ trap 'rm -rf "$tmp"' EXIT
 "$BUILD_DIR/examples/parsgd_compare" \
     "$tmp/BENCH_fig5_hwspec.json" "$tmp/BENCH_fig5_hwspec.json" \
     --require-same-sha
-echo "check.sh: tier-1 (simd + scalar + graph-off) + fault sweep" \
+echo "check.sh: tier-1 (simd + scalar) + fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
      "+ ASan kernels/graph/supervisor/cluster/recorder/telemetry" \

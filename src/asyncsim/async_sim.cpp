@@ -1,14 +1,11 @@
 #include "asyncsim/async_sim.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.hpp"
 #include "faults/injector.hpp"
-#include "parallel/task_graph.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -160,18 +157,7 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
   // Scratch target for dropped updates: the work is computed (and costed)
   // but the result never reaches the shared model.
   std::vector<real_t> lost;
-  // Hogbatch step path: one task graph reused per unit (DESIGN.md §15).
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  std::optional<TaskGraph> graph;
-  BatchGraphScratch gscratch;
-  if (opts_.batch > 1 && graph_enabled(opts_.graph)) {
-    graph.emplace(pool, telemetry);
-    if (faults != nullptr && faults->plan().straggler_prob > 0) {
-      graph->set_task_hook(
-          [faults](std::size_t task) { faults->chunk_hook(task); });
-    }
-  }
+  UnitStepGraph unit_step(opts_.pool, telemetry, faults);
   while (!part.exhausted()) {
     window.clear();
     for (int t = 0; t < workers; ++t) {
@@ -205,18 +191,8 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
           cost.bytes_streamed += example_bytes(data_, begin,
                                                opts_.prefer_dense);
         } else {
-          if (graph.has_value()) {
-            model_.batch_step_graph(*graph, gscratch, data_, begin, end,
-                                    opts_.prefer_dense, alpha, w,
-                                    drop ? std::span<real_t>(lost) : w,
-                                    TaskGraph::kNoTask);
-            graph->run();
-          } else {
-            model_.batch_step_pooled(pool, data_, begin, end,
-                                     opts_.prefer_dense, alpha, w,
-                                     drop ? std::span<real_t>(lost)
-                                          : w);
-          }
+          unit_step.step(model_, data_, begin, end, opts_.prefer_dense,
+                         alpha, w, drop ? std::span<real_t>(lost) : w);
           if (drop) std::fill(lost.begin(), lost.end(), real_t(0));
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t k =
@@ -281,18 +257,7 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
   std::vector<index_t> touched;
   std::vector<std::uint32_t> lines_scratch;
   std::size_t units_in_window = 0;
-  // Hogbatch step path: one task graph reused per unit (DESIGN.md §15).
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  std::optional<TaskGraph> graph;
-  BatchGraphScratch gscratch;
-  if (opts_.batch > 1 && graph_enabled(opts_.graph)) {
-    graph.emplace(pool, telemetry);
-    if (faults != nullptr && faults->plan().straggler_prob > 0) {
-      graph->set_task_hook(
-          [faults](std::size_t task) { faults->chunk_hook(task); });
-    }
-  }
+  UnitStepGraph unit_step(opts_.pool, telemetry, faults);
 
   // Globally interleaved unit order: round-robin over workers.
   bool any = true;
@@ -340,15 +305,8 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
         cost.bytes_streamed += example_bytes(data_, begin,
                                              opts_.prefer_dense);
       } else {
-        if (graph.has_value()) {
-          model_.batch_step_graph(*graph, gscratch, data_, begin, end,
-                                  opts_.prefer_dense, alpha, view, delta,
-                                  TaskGraph::kNoTask);
-          graph->run();
-        } else {
-          model_.batch_step_pooled(pool, data_, begin, end,
-                                   opts_.prefer_dense, alpha, view, delta);
-        }
+        unit_step.step(model_, data_, begin, end, opts_.prefer_dense, alpha,
+                       view, delta);
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t k =
               data_.example(i, opts_.prefer_dense).touched();

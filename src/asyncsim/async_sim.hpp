@@ -53,17 +53,10 @@ struct AsyncSimOptions {
   /// Models at most this big (bytes) use snapshot mode when updates are
   /// sparse; dense-update models always snapshot.
   std::size_t snapshot_budget_bytes = 1u << 18;
-  /// Execution pool for the heavy per-example work of Hogbatch units
-  /// (batch_step_pooled, bit-identical to the sequential step for every
-  /// pool size); nullptr = the process-global pool.
+  /// Execution pool for the per-unit task graphs of Hogbatch units
+  /// (UnitStepGraph, bit-identical for every pool size); nullptr = the
+  /// process-global pool.
   ThreadPool* pool = nullptr;
-  /// Step path for Hogbatch units (batch > 1): per-unit task graphs
-  /// (batch_step_graph) vs pooled fork-join steps. Units still execute in
-  /// the simulator's deterministic interleaved order — cross-unit order
-  /// *is* the staleness semantics — so the graph replaces only the
-  /// intra-unit barrier structure (DESIGN.md §15). kAuto defers to
-  /// PARSGD_GRAPH.
-  GraphMode graph = GraphMode::kAuto;
 };
 
 /// Simulates asynchronous epochs of `model` over `data`.

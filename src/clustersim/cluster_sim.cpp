@@ -1,13 +1,10 @@
 #include "clustersim/cluster_sim.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
 #include "faults/injector.hpp"
-#include "parallel/task_graph.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -129,17 +126,7 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
   std::vector<real_t> view(dim), delta(dim, 0);
 
   std::vector<index_t> touched;
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  std::optional<TaskGraph> graph;
-  BatchGraphScratch gscratch;
-  if (opts_.batch > 1 && graph_enabled(opts_.graph)) {
-    graph.emplace(pool, telemetry);
-    if (faults != nullptr && faults->plan().straggler_prob > 0) {
-      graph->set_task_hook(
-          [faults](std::size_t task) { faults->chunk_hook(task); });
-    }
-  }
+  UnitStepGraph unit_step(opts_.pool, telemetry, faults);
 
   // Globally interleaved unit order: round-robin over nodes.
   bool any = true;
@@ -193,15 +180,8 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
           pull_bytes = push_bytes;
         }
       } else {
-        if (graph.has_value()) {
-          model_.batch_step_graph(*graph, gscratch, data_, begin, end,
-                                  opts_.prefer_dense, alpha, view, delta,
-                                  TaskGraph::kNoTask);
-          graph->run();
-        } else {
-          model_.batch_step_pooled(pool, data_, begin, end,
-                                   opts_.prefer_dense, alpha, view, delta);
-        }
+        unit_step.step(model_, data_, begin, end, opts_.prefer_dense, alpha,
+                       view, delta);
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t k =
               data_.example(i, opts_.prefer_dense).touched();

@@ -63,13 +63,11 @@ struct ClusterSimOptions {
   /// (N-1) + D_net derivation when nonzero.
   std::size_t delay_override = 0;
   bool prefer_dense = false;
-  /// Pool for the heavy per-example work of batched units
-  /// (batch_step_pooled / batch_step_graph — bit-identical for every pool
-  /// size); nullptr = the process-global pool.
+  /// Pool for the per-unit task graphs of batched units (UnitStepGraph,
+  /// DESIGN.md §15 — bit-identical for every pool size; cross-unit order
+  /// is the staleness semantics and stays sequential); nullptr = the
+  /// process-global pool.
   ThreadPool* pool = nullptr;
-  /// Step path for batched units (DESIGN.md §15); cross-unit order is the
-  /// staleness semantics and stays sequential either way.
-  GraphMode graph = GraphMode::kAuto;
 };
 
 /// Per-epoch cluster event ledger (beyond the CostBreakdown).

@@ -57,7 +57,7 @@ class Rng {
   Rng fork();
 
   /// Snapshot / restore the complete generator state (checkpoint/resume,
-  /// watchdog rollback).
+  /// supervisor rollback).
   RngState state() const;
   void set_state(const RngState& st);
 

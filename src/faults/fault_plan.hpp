@@ -3,7 +3,7 @@
 // already treat races, stale reads, and lost updates as the *normal*
 // operating mode (HOGWILD!, Niu et al. 2011); this module makes those and
 // harder failures *injectable*, so any Fig. 1 configuration can be run
-// under a controlled fault and the recovery machinery (watchdog rollback,
+// under a controlled fault and the recovery machinery (supervisor rollback,
 // checkpoint/resume) can be exercised deterministically.
 //
 // A plan rides on the engine-spec option grammar (sgd/spec.hpp):

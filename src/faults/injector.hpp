@@ -7,7 +7,7 @@
 // injector owns a private Rng and never draws from the training stream.
 //
 // One-shot events (corruption, bit flip, crash) latch a fired flag, so a
-// watchdog rollback past the fault re-runs the epoch clean — exactly the
+// supervisor rollback past the fault re-runs the epoch clean — exactly the
 // transient-fault model the recovery machinery is meant to absorb.
 #pragma once
 
@@ -125,7 +125,7 @@ class FaultInjector {
   void note_chunk_straggled() { stragglers_.fetch_add(1); }
 
   /// ThreadPool chunk hook: delays straggling chunks by a real sleep
-  /// (execution-only — pooled reductions are deterministic, so the
+  /// (execution-only — the reduction grids are deterministic, so the
   /// trajectory is unchanged; only wall time and counters move).
   void chunk_hook(std::size_t chunk);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/rng.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -65,42 +64,6 @@ void LinearModel::batch_step(const TrainData& data, std::size_t begin,
   }
 }
 
-void LinearModel::batch_step_pooled(ThreadPool& pool, const TrainData& data,
-                                    std::size_t begin, std::size_t end,
-                                    bool prefer_dense, real_t alpha,
-                                    std::span<const real_t> w_read,
-                                    std::span<real_t> w_write) const {
-  const std::size_t nb = end - begin;
-  if (pool.size() <= 1 || nb < 256) {
-    batch_step(data, begin, end, prefer_dense, alpha, w_read, w_write);
-    return;
-  }
-  // The margins are independent per example (disjoint writes into coef),
-  // so they fan out; accumulation and the update then replay batch_step's
-  // sequential order exactly, keeping the result bit-identical to it.
-  std::vector<double> coef(nb);
-  pool.parallel_for(nb, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const ExampleView x = data.example(begin + i, prefer_dense);
-      coef[i] = margin_grad(x.dot(w_read), data.y[begin + i]);
-    }
-  });
-  const double scale = 1.0 / static_cast<double>(nb);
-  std::vector<double> grad(dim(), 0.0);
-  for (std::size_t i = 0; i < nb; ++i) {
-    if (coef[i] == 0.0) continue;
-    const ExampleView x = data.example(begin + i, prefer_dense);
-    x.for_each([&](index_t j, real_t v) {
-      grad[j] += coef[i] * v;
-    });
-  }
-  for (std::size_t j = 0; j < dim(); ++j) {
-    if (grad[j] != 0.0) {
-      w_write[j] -= static_cast<real_t>(alpha * scale * grad[j]);
-    }
-  }
-}
-
 namespace {
 
 /// Fixed-grid decomposition knobs for batch_step_graph. All pool-size
@@ -140,8 +103,8 @@ TaskGraph::TaskId LinearModel::batch_step_graph(
           : std::min({(nb + kGraphGrain - 1) / kGraphGrain,
                       kGraphMaxChunks, dim_cap});
   if (chunks <= 1) {
-    // Small batch: one sequential task, bit-identical to batch_step (and
-    // therefore to the pooled path, which replays batch_step's order).
+    // Small batch: one sequential task, bit-identical to batch_step (the
+    // sequential rung of the degradation ladder).
     return Model::batch_step_graph(graph, scratch, data, begin, end,
                                    prefer_dense, alpha, w_read, w_write,
                                    after);

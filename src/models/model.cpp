@@ -1,5 +1,8 @@
 #include "models/model.hpp"
 
+#include "faults/injector.hpp"
+#include "parallel/thread_pool.hpp"
+
 namespace parsgd {
 
 double Model::dataset_loss(const TrainData& data, std::span<const real_t> w,
@@ -9,15 +12,6 @@ double Model::dataset_loss(const TrainData& data, std::span<const real_t> w,
     total += example_loss(data.example(i, prefer_dense), data.y[i], w);
   }
   return total;
-}
-
-void Model::batch_step_pooled(ThreadPool& pool, const TrainData& data,
-                              std::size_t begin, std::size_t end,
-                              bool prefer_dense, real_t alpha,
-                              std::span<const real_t> w_read,
-                              std::span<real_t> w_write) const {
-  (void)pool;
-  batch_step(data, begin, end, prefer_dense, alpha, w_read, w_write);
 }
 
 TaskGraph::TaskId Model::batch_step_graph(
@@ -35,6 +29,30 @@ TaskGraph::TaskId Model::batch_step_graph(
         batch_step(*dp, begin, end, prefer_dense, alpha, w_read, w_write);
       },
       {after}, "batch_step");
+}
+
+void set_straggler_hook(TaskGraph& graph, FaultInjector* faults) {
+  if (faults == nullptr || !faults->active() ||
+      faults->plan().straggler_prob <= 0) {
+    return;
+  }
+  graph.set_task_hook(
+      [faults](std::size_t task) { faults->chunk_hook(task); });
+}
+
+void UnitStepGraph::step(const Model& model, const TrainData& data,
+                         std::size_t begin, std::size_t end,
+                         bool prefer_dense, real_t alpha,
+                         std::span<const real_t> w_read,
+                         std::span<real_t> w_write) {
+  if (!graph_.has_value()) {
+    graph_.emplace(pool_ != nullptr ? *pool_ : ThreadPool::global(),
+                   telemetry_);
+    set_straggler_hook(*graph_, faults_);
+  }
+  model.batch_step_graph(*graph_, scratch_, data, begin, end, prefer_dense,
+                         alpha, w_read, w_write, TaskGraph::kNoTask);
+  graph_->run();
 }
 
 }  // namespace parsgd

@@ -5,7 +5,10 @@
 //  * a per-example incremental step (Algorithm 3 — the Hogwild unit of
 //    work), with explicit read-model / write-model spans so asyncsim can
 //    interpose stale snapshots and count write conflicts;
-//  * a mini-batch step (the Hogbatch unit of work for MLP, §IV-B).
+//  * a mini-batch step (the Hogbatch unit of work for MLP, §IV-B), run
+//    sequentially by batch_step or built into a TaskGraph by
+//    batch_step_graph (the one parallel mini-batch step path, DESIGN.md
+//    §15).
 //
 // Models are stateless with respect to parameters: the flat parameter
 // vector is always passed in, because asynchronous simulation needs
@@ -24,7 +27,7 @@
 
 namespace parsgd {
 
-class ThreadPool;
+class FaultInjector;
 
 /// Reusable buffers for batch_step_graph: per-chunk partial gradients (and
 /// per-chunk coefficient slices for models that stage them). One scratch
@@ -35,6 +38,11 @@ class ThreadPool;
 struct BatchGraphScratch {
   std::vector<std::vector<double>> partial;  ///< per-chunk dense gradients
 };
+
+/// Installs the straggler delay of `faults` as `graph`'s task hook when
+/// its plan has stragglers: the hashed per-task decision delays a task
+/// body, never the trajectory. No-op for null or inactive faults.
+void set_straggler_hook(TaskGraph& graph, FaultInjector* faults);
 
 /// The training input handed to engines: sparse features always, dense
 /// when materialized, labels in {-1,+1}.
@@ -96,19 +104,6 @@ class Model {
                           std::span<const real_t> w_read,
                           std::span<real_t> w_write) const = 0;
 
-  /// batch_step with the independent per-example work (margins /
-  /// coefficients) fanned out on `pool`. Must be bit-identical to
-  /// batch_step for every pool size: gradient accumulation and the model
-  /// update stay sequential in example order. The default falls back to
-  /// the sequential batch_step; models with a profitable parallel
-  /// decomposition override it. Callers must invoke this from a thread
-  /// that is not itself a pool worker (pool jobs are not reentrant).
-  virtual void batch_step_pooled(ThreadPool& pool, const TrainData& data,
-                                 std::size_t begin, std::size_t end,
-                                 bool prefer_dense, real_t alpha,
-                                 std::span<const real_t> w_read,
-                                 std::span<real_t> w_write) const;
-
   /// Builds the tasks of one mini-batch step into `graph` (DESIGN.md §15)
   /// instead of executing it: gradient chunks over a *fixed* example grid,
   /// partial reductions merged in a fixed fan-in order, and one model
@@ -121,10 +116,9 @@ class Model {
   /// dim) — never on pool size — and merges in a fixed order, so
   /// trajectories are bit-identical across worker counts and run-to-run.
   /// Small batches fall back to one task running the sequential
-  /// batch_step, bit-identical to the pooled path. The default builds that
-  /// single task for every batch; models with a profitable decomposition
-  /// override it. Spans captured by the tasks must stay valid until the
-  /// graph runs.
+  /// batch_step, bit-identical to it. The default builds that single task
+  /// for every batch; models with a profitable decomposition override it.
+  /// Spans captured by the tasks must stay valid until the graph runs.
   virtual TaskGraph::TaskId batch_step_graph(
       TaskGraph& graph, BatchGraphScratch& scratch, const TrainData& data,
       std::size_t begin, std::size_t end, bool prefer_dense, real_t alpha,
@@ -142,6 +136,34 @@ class Model {
   /// Approximate flops of one example_step (for async engine cost
   /// accounting; nnz-dependent terms use the supplied count).
   virtual double step_flops(std::size_t touched_features) const = 0;
+};
+
+/// The Hogbatch unit step shared by asyncsim's two epochs and clustersim
+/// (DESIGN.md §15): one batch_step_graph over examples [begin, end),
+/// drained before step() returns. Units run one at a time in the
+/// simulator's interleaved order — cross-unit order *is* the staleness
+/// semantics — so the graph replaces only the intra-unit barrier
+/// structure. The graph is built on the first step (epochs of one-example
+/// units never create one) and reused for every later unit; bit-identical
+/// across pool sizes by the batch_step_graph contract.
+class UnitStepGraph {
+ public:
+  /// `pool` nullptr = the process-global pool; `telemetry` and `faults`
+  /// are optional and must outlive this object.
+  UnitStepGraph(ThreadPool* pool, telemetry::TelemetrySession* telemetry,
+                FaultInjector* faults)
+      : pool_(pool), telemetry_(telemetry), faults_(faults) {}
+
+  void step(const Model& model, const TrainData& data, std::size_t begin,
+            std::size_t end, bool prefer_dense, real_t alpha,
+            std::span<const real_t> w_read, std::span<real_t> w_write);
+
+ private:
+  ThreadPool* pool_;
+  telemetry::TelemetrySession* telemetry_;
+  FaultInjector* faults_;
+  std::optional<TaskGraph> graph_;
+  BatchGraphScratch scratch_;
 };
 
 }  // namespace parsgd

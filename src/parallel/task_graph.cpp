@@ -1,7 +1,5 @@
 #include "parallel/task_graph.hpp"
 
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "common/check.hpp"
@@ -23,20 +21,6 @@ inline void cpu_pause() {
 }
 
 }  // namespace
-
-bool graph_enabled(GraphMode mode) {
-  switch (mode) {
-    case GraphMode::kOn: return true;
-    case GraphMode::kOff: return false;
-    case GraphMode::kAuto: break;
-  }
-  static const bool env_enabled = [] {
-    const char* v = std::getenv("PARSGD_GRAPH");
-    return v == nullptr ||
-           (std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0);
-  }();
-  return env_enabled;
-}
 
 TaskGraph::TaskGraph(ThreadPool& pool,
                      telemetry::TelemetrySession* telemetry)

@@ -56,16 +56,6 @@ namespace parsgd {
 
 class ThreadPool;
 
-/// Step-path selector (spec key `graph=on|off|auto`): kAuto defers to the
-/// PARSGD_GRAPH environment variable ("off"/"0" disables; anything else —
-/// including unset — enables), so CI can prove the legacy pooled path in
-/// one sweep without rebuilding.
-enum class GraphMode : std::uint8_t { kAuto, kOn, kOff };
-
-/// Resolves a GraphMode to a concrete decision (kAuto reads PARSGD_GRAPH
-/// once per process).
-bool graph_enabled(GraphMode mode = GraphMode::kAuto);
-
 class TaskGraph {
  public:
   using TaskId = std::uint32_t;

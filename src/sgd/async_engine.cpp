@@ -16,7 +16,6 @@ AsyncSimOptions to_sim_options(const AsyncCpuOptions& opts) {
   s.delay_units = opts.delay_units;
   s.prefer_dense = opts.prefer_dense;
   s.pool = opts.pool;
-  s.graph = opts.graph;
   return s;
 }
 

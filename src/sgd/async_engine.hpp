@@ -34,12 +34,9 @@ struct AsyncCpuOptions {
   double dispatch_us_par = 0;
   /// Forwarded to AsyncSimOptions::delay_units (0 = auto).
   std::size_t delay_units = 0;
-  /// Execution pool for pooled Hogbatch steps (forwarded to the
+  /// Execution pool for Hogbatch unit steps (forwarded to the
   /// simulator); nullptr = the process-global pool.
   ThreadPool* pool = nullptr;
-  /// Hogbatch step path (forwarded to AsyncSimOptions::graph; spec key
-  /// `graph=`, DESIGN.md §15).
-  GraphMode graph = GraphMode::kAuto;
 };
 
 class AsyncCpuEngine final : public Engine {

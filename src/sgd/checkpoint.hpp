@@ -1,6 +1,6 @@
 // Training checkpoints (DESIGN.md §11): everything run_training needs to
 // continue a run bit-identically — model weights, the full RNG state, the
-// epoch cursor, the watchdog's step-size scale and recovery budget, and
+// epoch cursor, the supervisor's step-size scale and recovery budget, and
 // the partial RunResult recorded so far. A crash at epoch k followed by
 // load_checkpoint + resume reproduces the uninterrupted trajectory.
 //
@@ -30,7 +30,7 @@ namespace parsgd {
 
 struct TrainCheckpoint {
   std::size_t next_epoch = 0;   ///< first epoch the resumed run executes
-  double alpha_scale = 1.0;     ///< watchdog step-size scale at save time
+  double alpha_scale = 1.0;     ///< supervisor step-size scale at save time
   std::size_t recoveries_used = 0;
   RngState rng;                 ///< run RNG as of next_epoch
   std::vector<real_t> w;        ///< model weights as of next_epoch

@@ -85,7 +85,6 @@ ClusterEngine::ClusterEngine(const Model& model, const TrainData& data,
     s.delay_override = opts_.delay_units;
     s.prefer_dense = opts_.use_dense;
     s.pool = opts_.pool;
-    s.graph = opts_.graph;
     sim_ = std::make_unique<ClusterSim>(model, data, s);
   } else {
     // The all-reduce trajectory IS the sync engine's (see header); the
@@ -99,7 +98,6 @@ ClusterEngine::ClusterEngine(const Model& model, const TrainData& data,
     s.minibatch = opts_.batch;
     s.pool = opts_.pool;
     s.deterministic = opts_.deterministic;
-    s.graph = opts_.graph;
     sync_ = std::make_unique<SyncEngine>(model, data, scale, s);
   }
 }
@@ -127,7 +125,7 @@ double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   faults_.begin_epoch(w);
   std::size_t down = faults_.node_down_this_epoch();
   const bool speculate =
-      supervisor_ != nullptr && supervisor_->speculates();
+      supervisor_ != nullptr && supervisor_->active();
   const std::size_t n_eff = sim_->nodes_eff();
   double stall = 0;
   bool recover = false;
@@ -179,7 +177,7 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
   faults_.begin_epoch(w);
   const std::size_t down = faults_.node_down_this_epoch();
   const bool speculate =
-      supervisor_ != nullptr && supervisor_->speculates();
+      supervisor_ != nullptr && supervisor_->active();
   stats_ = ClusterEpochStats{};
   // The inner engine's own injector is empty (make_engine installs faults
   // only on this engine), but the supervisor's scalar pin / degradation

@@ -49,7 +49,6 @@ struct ClusterEngineOptions {
   std::size_t gemm_parallel_threshold = 5000;
   SyncCalibration calibration{};
   bool deterministic = true;
-  GraphMode graph = GraphMode::kAuto;
   ThreadPool* pool = nullptr;
 };
 

@@ -89,16 +89,9 @@ RunResult run_training(Engine& engine, const Model& model,
 
   engine.fault_injector().seek_epoch(start_epoch);
 
-  // Resolve the resilience policy (DESIGN.md §16): an explicit supervisor
-  // mode wins; a bare watchdog.enabled maps onto the kWatchdog preset
-  // with the WatchdogOptions numbers, reproducing the legacy §11
-  // rollback semantics exactly.
+  // The resilience policy (DESIGN.md §16), its jitter seed decorrelated
+  // from the run seed.
   SupervisorOptions sup_opts = opts.supervisor;
-  if (sup_opts.mode == ResilienceMode::kOff && opts.watchdog.enabled) {
-    sup_opts = supervisor_options_for(ResilienceMode::kWatchdog);
-    sup_opts.alpha_backoff = opts.watchdog.alpha_backoff;
-    sup_opts.recovery_budget = opts.watchdog.max_recoveries;
-  }
   sup_opts.seed ^= opts.seed * 0x9E3779B97F4A7C15ULL;
   TrainingSupervisor supervisor(sup_opts, engine.telemetry());
   // RAII detach: the engine (and its injector's gate pointer) outlives
@@ -264,7 +257,7 @@ RunResult run_training(Engine& engine, const Model& model,
 
     const bool nonfinite = !std::isfinite(loss);
     bool bad_weights = false;
-    if (supervisor.full() && !nonfinite) {
+    if (supervisor.active() && !nonfinite) {
       // A poisoned update can leave NaN weight coordinates behind a loss
       // that is still finite on this dataset slice — scan for them.
       for (const real_t x : w) {
@@ -277,14 +270,14 @@ RunResult run_training(Engine& engine, const Model& model,
     const bool numeric_bad =
         nonfinite || bad_weights ||
         loss > opts.divergence_factor * std::max(res.initial_loss, 1e-12);
-    // Deadline check (full mode only): a numerically clean epoch that
+    // Deadline check (resilience on): a numerically clean epoch that
     // blew the host-time deadline (hung worker) is rolled back and
     // retried with alpha unchanged — the retry is deterministic, so the
     // trajectory is bit-identical whether or not the deadline fired.
     // Past the recovery budget the epoch is simply accepted (its math is
     // valid); bad epochs never feed the EWMA.
     bool deadline_bad = false;
-    if (supervisor.full() && !numeric_bad) {
+    if (supervisor.active() && !numeric_bad) {
       if (recoveries_used < sup_opts.recovery_budget &&
           supervisor.epoch_deadline_exceeded(host_s)) {
         deadline_bad = true;
@@ -301,18 +294,6 @@ RunResult run_training(Engine& engine, const Model& model,
       const double rec_t0 = ledger_on ? monotonic_seconds() - host_s : 0;
       ++recoveries_used;
       alpha_scale *= supervisor.on_epoch_failed(numeric_bad, e);
-      if (sup_opts.mode == ResilienceMode::kWatchdog && tel != nullptr &&
-          tel->metrics_enabled()) {
-        // Legacy §11 telemetry names, preserved verbatim in watchdog
-        // mode; full mode emits resilience.* from the supervisor instead.
-        tel->metrics().counter("watchdog.recoveries").inc();
-        if (tel->trace_enabled()) {
-          tel->trace().instant("watchdog.rollback",
-                               {{"epoch", static_cast<double>(e)},
-                                {"bad_loss", loss},
-                                {"alpha_scale", alpha_scale}});
-        }
-      }
       const RecoveryReason reason =
           nonfinite      ? RecoveryReason::kNonFinite
           : bad_weights  ? RecoveryReason::kBadWeights

@@ -107,11 +107,9 @@ class Engine {
   /// injector gets its straggle gate / sanitization policy from it.
   void set_supervisor(TrainingSupervisor* supervisor) {
     supervisor_ = supervisor;
-    faults_.set_straggle_gate(
-        supervisor != nullptr && supervisor->speculates() ? supervisor
-                                                          : nullptr);
-    faults_.set_sanitize(supervisor != nullptr &&
-                         supervisor->sanitize_updates());
+    const bool active = supervisor != nullptr && supervisor->active();
+    faults_.set_straggle_gate(active ? supervisor : nullptr);
+    faults_.set_sanitize(active);
   }
   TrainingSupervisor* supervisor() const { return supervisor_; }
 
@@ -124,7 +122,7 @@ class Engine {
   TrainingSupervisor* supervisor_ = nullptr;
 };
 
-/// Why the supervisor (or the legacy watchdog) rejected an epoch.
+/// Why the supervisor rejected an epoch.
 enum class RecoveryReason : std::uint8_t {
   kNonFinite = 0,   ///< loss went NaN/Inf
   kLossSpike = 1,   ///< loss exceeded the divergence threshold
@@ -132,7 +130,7 @@ enum class RecoveryReason : std::uint8_t {
   kBadWeights = 3,  ///< finite loss but non-finite weight coordinates
 };
 
-/// One watchdog rollback: epoch `epoch` produced `bad_loss`, the run was
+/// One supervisor rollback: epoch `epoch` produced `bad_loss`, the run was
 /// rolled back to the last good snapshot and continued with the step size
 /// scaled to `alpha_scale_after`.
 struct RecoveryEvent {
@@ -148,10 +146,10 @@ struct RunResult {
   std::vector<double> epoch_seconds;  ///< modeled seconds of epoch e
   double initial_loss = 0;
   bool diverged = false;
-  /// Watchdog rollbacks, in order (empty when the watchdog is off or
-  /// never fired).
+  /// Supervisor rollbacks, in order (empty when resilience is off or
+  /// nothing was rolled back).
   std::vector<RecoveryEvent> recoveries;
-  /// Final step-size scale after watchdog backoffs (1.0 = untouched).
+  /// Final step-size scale after supervisor backoffs (1.0 = untouched).
   double alpha_scale = 1.0;
   /// Supervisor counters for the run (all zero when resilience=off).
   ResilienceStats resilience;
@@ -173,18 +171,6 @@ struct RunResult {
   double seconds_per_epoch() const;
 };
 
-/// Divergence watchdog (DESIGN.md §11). Off by default: run_training is
-/// then bit-identical to the plain loop. When enabled, an epoch whose loss
-/// is non-finite or exceeds the divergence threshold is rolled back to the
-/// last good snapshot (weights + RNG + trajectory) and retried with the
-/// step size scaled by `alpha_backoff`, up to `max_recoveries` times;
-/// every rollback is recorded in RunResult::recoveries.
-struct WatchdogOptions {
-  bool enabled = false;
-  double alpha_backoff = 0.1;
-  std::size_t max_recoveries = 3;
-};
-
 struct TrainOptions {
   std::size_t max_epochs = 200;
   /// Abort when loss exceeds `divergence_factor` x initial (or is NaN).
@@ -199,11 +185,12 @@ struct TrainOptions {
   /// constant alpha passed to run_training (which then seeds nothing).
   /// Must outlive the run. The paper's protocol is a constant step.
   const StepSchedule* schedule = nullptr;
-  WatchdogOptions watchdog;
-  /// Resilience policy (DESIGN.md §16). When the mode is not kOff it
-  /// takes precedence over `watchdog`; a bare watchdog.enabled maps onto
-  /// the kWatchdog preset with the WatchdogOptions numbers, preserving
-  /// the legacy §11 semantics exactly.
+  /// Resilience policy (DESIGN.md §16). Off by default: run_training is
+  /// then bit-identical to the plain loop. In full mode an epoch whose
+  /// loss is non-finite or exceeds the divergence threshold is rolled
+  /// back to the last good snapshot (weights + RNG + trajectory) and
+  /// retried with a backed-off step size, within the recovery budget;
+  /// every rollback is recorded in RunResult::recoveries.
   SupervisorOptions supervisor;
   /// When non-empty, a TrainCheckpoint is written (atomically) to this
   /// path after every `checkpoint_every`-th completed epoch — or, when

@@ -95,7 +95,6 @@ double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
     // through the shared step-path runner (DESIGN.md §15).
     ThreadPool& epoch_pool =
         opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-    ChunkHookGuard straggle_guard(epoch_pool, faults_);
     std::optional<PoolTelemetryGuard> tel_guard;
     if (telemetry_ != nullptr) {
       tel_guard.emplace(epoch_pool, telemetry_.get());
@@ -104,7 +103,6 @@ double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
     mo.pool = opts_.pool;
-    mo.graph = opts_.graph;
     mo.supervisor = supervisor_;
     run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
                         telemetry_.get(), mo);

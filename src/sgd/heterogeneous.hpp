@@ -44,8 +44,6 @@ struct HeterogeneousOptions {
   /// split-device instrumentation (per-batch device costs scale the same
   /// way the full pass does).
   std::size_t minibatch = 0;
-  /// Mini-batch step path (spec key `graph=`; DESIGN.md §15).
-  GraphMode graph = GraphMode::kAuto;
 };
 
 class HeterogeneousEngine final : public Engine {

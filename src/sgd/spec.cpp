@@ -176,14 +176,6 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
           return parse_fail(error, "bad value in '" + kv +
                                        "' (expected on or off)");
         }
-      } else if (key == "graph") {
-        if (val == "on") s.graph = GraphMode::kOn;
-        else if (val == "off") s.graph = GraphMode::kOff;
-        else if (val == "auto") s.graph = GraphMode::kAuto;
-        else {
-          return parse_fail(error, "bad value in '" + kv +
-                                       "' (expected on, off or auto)");
-        }
       } else if (key == "gemmth") {
         if (!parse_size(val, &s.gemm_parallel_threshold)) {
           return parse_fail(error, "bad value in '" + kv + "'");
@@ -269,7 +261,7 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
         if (!mode.has_value()) {
           return parse_fail(error,
                             "bad value in '" + kv +
-                                "' (expected off, watchdog or full)");
+                                "' (expected off or full)");
         }
         s.resilience = *mode;
       } else if (key == "telemetry") {
@@ -325,9 +317,6 @@ std::string format_spec(const EngineSpec& spec) {
   if (!spec.deterministic) kv.push_back("det=off");
   if (spec.gemm_parallel_threshold != kDefaultGemmThreshold) {
     kv.push_back("gemmth=" + std::to_string(spec.gemm_parallel_threshold));
-  }
-  if (spec.graph != GraphMode::kAuto) {
-    kv.push_back(spec.graph == GraphMode::kOn ? "graph=on" : "graph=off");
   }
   if (spec.arch == Arch::kCluster) {
     if (!(spec.link == LinkSpec{})) {
@@ -402,7 +391,6 @@ std::unique_ptr<Engine> make_sync(const EngineSpec& spec,
   o.minibatch = spec.batch;
   o.pool = ctx.pool;
   o.deterministic = spec.deterministic;
-  o.graph = spec.graph;
   return std::make_unique<SyncEngine>(*ctx.model, ctx.data, ctx.scale, o);
 }
 
@@ -415,7 +403,6 @@ std::unique_ptr<Engine> make_async_cpu(const EngineSpec& spec,
   o.prefer_dense = spec.layout == Layout::kDense;
   o.delay_units = spec.delay_units;
   o.pool = ctx.pool;
-  o.graph = spec.graph;
   if (spec.calibration == Calibration::kMlp) {
     // ViennaCL-driver dispatch calibration for Hogbatch MLP
     // (EXPERIMENTS.md; paper Table III). Hogbatch propagates updates
@@ -452,7 +439,6 @@ std::unique_ptr<Engine> make_heterogeneous(const EngineSpec& spec,
   o.pool = ctx.pool;
   o.deterministic = spec.deterministic;
   o.minibatch = spec.batch;
-  o.graph = spec.graph;
   return std::make_unique<HeterogeneousEngine>(*ctx.model, ctx.data,
                                                ctx.scale, o);
 }
@@ -470,7 +456,6 @@ std::unique_ptr<Engine> make_cluster(const EngineSpec& spec,
   o.gemm_parallel_threshold = spec.gemm_parallel_threshold;
   o.calibration = sync_calibration(spec.calibration);
   o.deterministic = spec.deterministic;
-  o.graph = spec.graph;
   o.pool = ctx.pool;
   return std::make_unique<ClusterEngine>(*ctx.model, ctx.data, ctx.scale,
                                          o);

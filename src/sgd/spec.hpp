@@ -26,7 +26,6 @@
 #include "clustersim/net_model.hpp"
 #include "data/dataset.hpp"
 #include "faults/fault_plan.hpp"
-#include "parallel/task_graph.hpp"
 #include "sgd/engine.hpp"
 #include "sgd/timing.hpp"
 #include "telemetry/session.hpp"
@@ -70,11 +69,6 @@ struct EngineSpec {
   /// Default on — tests and regression gates rely on exact trajectories;
   /// benches pass det=off to measure the fully vectorized reductions.
   bool deterministic = true;
-  /// graph=on|off|auto: mini-batch step path — dataflow task graph (no
-  /// per-batch fork-join barrier) vs the legacy pooled loop (DESIGN.md
-  /// §15). Default auto, which defers to the PARSGD_GRAPH environment
-  /// variable (unset = graph on); format_spec omits auto.
-  GraphMode graph = GraphMode::kAuto;
   /// ViennaCL GEMM parallelization threshold for sync CPU engines.
   std::size_t gemm_parallel_threshold = 5000;
   /// Heterogeneous GPU example share; negative = auto (equalize devices).
@@ -94,7 +88,7 @@ struct EngineSpec {
   /// never constructs a recorder — one untaken branch, bit-identical
   /// trajectories; canonical non-off form is e.g. record=100ms.
   double record_ms = 0;
-  /// resilience=off|watchdog|full (DESIGN.md §16): the training
+  /// resilience=off|full (DESIGN.md §16): the training
   /// supervisor policy run_training applies to runs of this spec. Default
   /// off — bit-identical to the pre-supervisor seed; format_spec omits it.
   ResilienceMode resilience = ResilienceMode::kOff;
@@ -142,7 +136,7 @@ struct EngineContext {
   /// (the paper machine's 56); EngineSpec::threads overrides per spec.
   int cpu_threads = 56;
   /// Execution pool injected into every CPU consumer (linalg backends,
-  /// pooled batch steps). nullptr = the process-global pool.
+  /// mini-batch step graphs). nullptr = the process-global pool.
   ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
   /// Default fault plan installed into every engine made from this context

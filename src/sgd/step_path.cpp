@@ -28,17 +28,14 @@ void run_minibatch_epoch(const Model& model, const TrainData& data,
       telemetry != nullptr && telemetry->metrics_enabled()
           ? &telemetry->metrics().counter("sync.updates")
           : nullptr;
-  ThreadPool& pool =
-      opts.pool != nullptr ? *opts.pool : ThreadPool::global();
   const DegradeLevel level =
       opts.supervisor != nullptr && opts.supervisor->active()
           ? opts.supervisor->level()
           : DegradeLevel::kNone;
 
   if (level >= DegradeLevel::kSequential) {
-    // Degraded rung (DESIGN.md §16): plain sequential batch_step loop, no
-    // pool and no graph on the step path. Bit-identical to the pooled
-    // path by the batch_step_pooled contract, same injector draw order.
+    // Sequential rung (DESIGN.md §16): plain batch_step loop, no graph on
+    // the step path, same injector draw order.
     for (const std::uint32_t b : order) {
       if (faults.drop_update()) {
         faults.after_update(w);
@@ -54,36 +51,13 @@ void run_minibatch_epoch(const Model& model, const TrainData& data,
     return;
   }
 
-  if (!graph_enabled(opts.graph) || level >= DegradeLevel::kPooled) {
-    // Legacy pooled path: fork-join per batch. Bit-identical to the plain
-    // batch_step loop for every pool size.
-    for (const std::uint32_t b : order) {
-      if (faults.drop_update()) {
-        faults.after_update(w);
-        continue;
-      }
-      const std::size_t begin =
-          static_cast<std::size_t>(b) * opts.minibatch;
-      const std::size_t end = std::min(n, begin + opts.minibatch);
-      model.batch_step_pooled(pool, data, begin, end, opts.use_dense,
-                              alpha, w, w);
-      faults.after_update(w);
-      if (c_updates != nullptr) c_updates->inc();
-    }
-    return;
-  }
-
-  // Graph path: build the whole epoch as one dependency graph, then drain
-  // it once. Drop decisions are drawn at build time in batch order — the
-  // same injector-RNG sequence as the pooled loop (drop_update is the
-  // only injector RNG consumer on this path; after_update draws nothing).
-  TaskGraph graph(pool, telemetry);
-  if (faults.active() && faults.plan().straggler_prob > 0) {
-    // Execution-only straggler seam, mirroring ChunkHookGuard: the hashed
-    // per-task decision delays the task body, never the trajectory.
-    FaultInjector* f = &faults;
-    graph.set_task_hook([f](std::size_t task) { f->chunk_hook(task); });
-  }
+  // Build the whole epoch as one dependency graph, then drain it once.
+  // Drop decisions are drawn at build time in batch order — the same
+  // injector-RNG sequence as the sequential loop (drop_update is the only
+  // injector RNG consumer here; after_update draws nothing).
+  TaskGraph graph(opts.pool != nullptr ? *opts.pool : ThreadPool::global(),
+                  telemetry);
+  set_straggler_hook(graph, &faults);
   BatchGraphScratch scratch;
   FaultInjector* f = &faults;
   // Chain after-update bookkeeping only when someone observes it; with

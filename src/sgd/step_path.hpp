@@ -1,28 +1,26 @@
 // The shared synchronized-mini-batch epoch runner (DESIGN.md §15): one
-// implementation of "shuffled batches, one model update per batch" with
-// two execution paths behind it —
+// implementation of "shuffled batches, one model update per batch", run
+// as one TaskGraph per epoch — gradient chunks, fixed-order partial
+// reductions and the model update of each batch as dependent tasks, the
+// update of batch k being the only dependency of batch k+1's chunks. No
+// per-batch barrier; independent work from consecutive batches overlaps.
+// Trajectories are bit-identical across worker counts (fixed
+// decomposition grid) and run-to-run. Below the decomposition floor every
+// batch is one sequential batch_step task, bit-identical to the plain
+// batch_step loop the supervisor's sequential rung (DESIGN.md §16) runs;
+// above it the summation grouping differs, so the two rungs may differ in
+// the last bits.
 //
-//  * pooled (legacy): each batch's per-example work fans out on the
-//    ThreadPool with a fork-join barrier per batch; bit-identical to the
-//    sequential batch_step loop for every pool size.
-//  * graph: the whole epoch is built as one TaskGraph — gradient chunks,
-//    fixed-order partial reductions and the model update of each batch as
-//    dependent tasks, the update of batch k being the only dependency of
-//    batch k+1's chunks. No per-batch barrier; independent work from
-//    consecutive batches overlaps. Trajectories are bit-identical across
-//    worker counts (fixed decomposition grid) and run-to-run, but may
-//    differ from the pooled path in the last bits once batches are large
-//    enough to decompose (different, equally fixed, summation grouping).
-//
-// Fault-injection semantics are preserved exactly on both paths: dropped
-// updates draw from the injector RNG once per batch in shuffled batch
-// order (on the graph path the draw happens at build time — the injector
-// RNG sequence is identical because drop_update is its only consumer
-// here), straggler delays are execution-only (pool chunk hook / graph
-// task hook), and after_update runs once per batch in batch order.
+// Fault-injection semantics: dropped updates draw from the injector RNG
+// once per batch in shuffled batch order (at graph build time — the
+// injector RNG sequence is the same on the sequential rung because
+// drop_update is its only consumer here), straggler delays are
+// execution-only (graph task hook), and after_update runs once per batch
+// in batch order.
 //
 // SyncEngine and HeterogeneousEngine both run their minibatch epochs
-// through this.
+// through this; the asynchronous simulators' one-unit-at-a-time steps go
+// through UnitStepGraph (models/model.hpp).
 #pragma once
 
 #include <cstddef>
@@ -43,11 +41,9 @@ struct MinibatchEpochOptions {
   bool use_dense = false;
   /// Execution pool; nullptr = the process-global pool.
   ThreadPool* pool = nullptr;
-  /// Chosen step path (resolved via graph_enabled()).
-  GraphMode graph = GraphMode::kAuto;
   /// The run's supervisor (null outside run_training / resilience=off).
   /// Its degradation ladder (DESIGN.md §16) can demote this epoch to the
-  /// pooled or plain-sequential path; every rung follows the same batch
+  /// plain-sequential batch_step loop; both rungs follow the same batch
   /// order and injector draw sequence.
   const TrainingSupervisor* supervisor = nullptr;
 };

@@ -34,7 +34,6 @@ void ewma_update(std::atomic<double>& cell, double obs, double weight) {
 const char* to_string(ResilienceMode mode) {
   switch (mode) {
     case ResilienceMode::kOff: return "off";
-    case ResilienceMode::kWatchdog: return "watchdog";
     case ResilienceMode::kFull: return "full";
   }
   return "?";
@@ -42,7 +41,6 @@ const char* to_string(ResilienceMode mode) {
 
 std::optional<ResilienceMode> parse_resilience_mode(const std::string& text) {
   if (text == "off") return ResilienceMode::kOff;
-  if (text == "watchdog") return ResilienceMode::kWatchdog;
   if (text == "full") return ResilienceMode::kFull;
   return std::nullopt;
 }
@@ -50,7 +48,6 @@ std::optional<ResilienceMode> parse_resilience_mode(const std::string& text) {
 const char* to_string(DegradeLevel level) {
   switch (level) {
     case DegradeLevel::kNone: return "none";
-    case DegradeLevel::kPooled: return "pooled";
     case DegradeLevel::kSequential: return "sequential";
     case DegradeLevel::kScalar: return "scalar";
   }
@@ -60,23 +57,13 @@ const char* to_string(DegradeLevel level) {
 SupervisorOptions supervisor_options_for(ResilienceMode mode) {
   SupervisorOptions o;
   o.mode = mode;
-  if (mode == ResilienceMode::kWatchdog) {
-    // The legacy §11 watchdog, exactly: fixed ×0.1 backoff, budget 3,
-    // no speculation/sanitization/ladder.
-    o.alpha_backoff = 0.1;
-    o.backoff_jitter = 0;
-    o.recovery_budget = 3;
-    o.speculate = false;
-    o.sanitize = false;
-    o.ladder = false;
-  }
   return o;
 }
 
 TrainingSupervisor::TrainingSupervisor(
     const SupervisorOptions& opts, telemetry::TelemetrySession* telemetry)
     : opts_(opts), rng_(opts.seed) {
-  if (telemetry != nullptr && telemetry->metrics_enabled() && full()) {
+  if (telemetry != nullptr && telemetry->metrics_enabled() && active()) {
     telemetry::MetricsRegistry& reg = telemetry->metrics();
     c_recoveries_ = &reg.counter("resilience.recoveries");
     c_deadline_misses_ = &reg.counter("resilience.deadline_misses");
@@ -124,7 +111,7 @@ double TrainingSupervisor::gate_straggle_us(double planned_us) {
 }
 
 void TrainingSupervisor::observe_epoch_seconds(double seconds) {
-  if (!full() || seconds <= 0) return;
+  if (!active() || seconds <= 0) return;
   const double next = epoch_ewma_s_ <= 0
                           ? seconds
                           : (1.0 - opts_.ewma_weight) * epoch_ewma_s_ +
@@ -133,7 +120,7 @@ void TrainingSupervisor::observe_epoch_seconds(double seconds) {
 }
 
 double TrainingSupervisor::epoch_deadline_s() const {
-  if (!full() || epoch_ewma_s_ <= 0) return 0;
+  if (!active() || epoch_ewma_s_ <= 0) return 0;
   return opts_.epoch_deadline_floor_s +
          opts_.epoch_deadline_factor * epoch_ewma_s_;
 }
@@ -164,12 +151,11 @@ double TrainingSupervisor::on_epoch_failed(bool numeric, std::size_t epoch) {
                     {{"epoch", static_cast<double>(epoch)},
                      {"numeric", numeric ? 1.0 : 0.0}});
   }
-  if (full() && opts_.ladder && level() < DegradeLevel::kScalar) {
+  if (active() && level() < DegradeLevel::kScalar) {
     set_level(static_cast<DegradeLevel>(static_cast<int>(level()) + 1),
               /*promote=*/false, epoch);
   }
   if (!numeric) return 1.0;  // execution-time failure: the math was fine
-  if (opts_.mode == ResilienceMode::kWatchdog) return opts_.alpha_backoff;
   ++consecutive_numeric_;
   double mult = 1.0;
   for (std::size_t c = 0; c < consecutive_numeric_; ++c) {
@@ -183,7 +169,7 @@ double TrainingSupervisor::on_epoch_failed(bool numeric, std::size_t epoch) {
 
 void TrainingSupervisor::on_epoch_clean() {
   consecutive_numeric_ = 0;
-  if (!full() || !opts_.ladder || level() == DegradeLevel::kNone) {
+  if (!active() || level() == DegradeLevel::kNone) {
     clean_streak_ = 0;
     return;
   }

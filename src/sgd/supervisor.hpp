@@ -1,6 +1,6 @@
 // TrainingSupervisor — the policy-driven resilience layer under
 // run_training (DESIGN.md §16). It subsumes the single-shot divergence
-// watchdog (§11) and makes every engine self-healing along four pillars:
+// rollback of §11 and makes every engine self-healing along four pillars:
 //
 //  1. Deadline-driven speculative re-execution: seeded EWMAs of observed
 //     chunk inter-arrival gaps and epoch host times yield deadlines; a
@@ -10,21 +10,20 @@
 //     time moves). The seam is faults::StraggleGate, reached through the
 //     existing ChunkHookGuard / set_task_hook hooks.
 //  2. Graceful degradation ladder: repeated epoch failures step execution
-//     down graph → pooled → sequential, then SIMD → scalar dispatch;
+//     down graph → sequential, then SIMD → scalar dispatch;
 //     K clean epochs re-promote one rung. Every transition is logged,
 //     counted and traced.
 //  3. Retry with seeded exponential backoff and a bounded recovery
-//     budget (replacing the watchdog's fixed alpha×0.1), plus gradient
+//     budget (replacing §11's fixed alpha×0.1), plus gradient
 //     sanitization that quarantines poisoned (NaN-producing) examples at
 //     the injector before they reach the weights.
 //  4. Auto-checkpoint cadence (count- or time-based) with crash-resume,
 //     so a crash@E fault plus restart round-trips bit-identically.
 //
-// Policy is declarative: the spec grammar's resilience=off|watchdog|full
-// key maps to SupervisorOptions via supervisor_options_for(). `off` keeps
-// the supervisor detached entirely (bit-identical to the pre-supervisor
-// seed); `watchdog` reproduces the legacy §11 rollback semantics exactly;
-// `full` enables all four pillars.
+// Policy is declarative: the spec grammar's resilience=off|full key maps
+// to SupervisorOptions via supervisor_options_for(). `off` keeps the
+// supervisor detached entirely (bit-identical to the pre-supervisor
+// seed); `full` enables all four pillars.
 //
 // Everything the supervisor does to *time* (deadlines, backup wins) is
 // wall-clock only; everything it does to the *trajectory* (rollback,
@@ -46,19 +45,17 @@
 namespace parsgd {
 
 /// The declarative resilience policy knob (spec key `resilience=`).
-enum class ResilienceMode : std::uint8_t { kOff = 0, kWatchdog = 1, kFull = 2 };
+enum class ResilienceMode : std::uint8_t { kOff = 0, kFull = 1 };
 
 const char* to_string(ResilienceMode mode);
 std::optional<ResilienceMode> parse_resilience_mode(const std::string& text);
 
 /// Degradation-ladder rungs, ordered from fastest to safest. Each rung
-/// includes the ones above it: kSequential also implies no graph path,
-/// kScalar also implies sequential stepping.
+/// includes the ones above it: kScalar also implies sequential stepping.
 enum class DegradeLevel : std::uint8_t {
-  kNone = 0,        ///< full speed: graph + SIMD as configured
-  kPooled = 1,      ///< task-graph executor off, fork-join pooled path
-  kSequential = 2,  ///< thread pool off the step path, plain batch_step
-  kScalar = 3,      ///< SIMD dispatch pinned to the scalar reference
+  kNone = 0,        ///< full speed: task graph + SIMD as configured
+  kSequential = 1,  ///< task graph off the step path, plain batch_step
+  kScalar = 2,      ///< SIMD dispatch pinned to the scalar reference
 };
 
 const char* to_string(DegradeLevel level);
@@ -75,11 +72,8 @@ struct SupervisorOptions {
   /// Total rollback budget for the run (numeric + deadline recoveries).
   std::size_t recovery_budget = 8;
 
-  /// Pillar toggles (all on in full mode, all off in watchdog mode).
-  bool speculate = true;  ///< chunk-deadline straggler gating
-  bool sanitize = true;   ///< quarantine poisoned updates at the injector
-  bool ladder = true;     ///< degradation ladder
-  std::size_t promote_after = 3;  ///< clean epochs per re-promotion rung
+  /// Clean epochs per re-promotion rung of the degradation ladder.
+  std::size_t promote_after = 3;
 
   /// Deadlines: floor + factor × EWMA of the observed durations. The
   /// epoch deadline only arms once an epoch has been observed; the chunk
@@ -96,8 +90,7 @@ struct SupervisorOptions {
   std::uint64_t seed = 0x5EED5EEDULL;
 };
 
-/// The preset each spec-grammar mode maps to. kWatchdog reproduces the
-/// legacy watchdog numbers (alpha×0.1, budget 3, nothing speculative).
+/// The preset each spec-grammar mode maps to.
 SupervisorOptions supervisor_options_for(ResilienceMode mode);
 
 /// Counters the supervisor accumulated over one run; surfaced on
@@ -131,10 +124,8 @@ class TrainingSupervisor final : public StraggleGate {
                      telemetry::TelemetrySession* telemetry);
 
   const SupervisorOptions& options() const { return opts_; }
+  /// All four pillars are on exactly when this is true.
   bool active() const { return opts_.mode != ResilienceMode::kOff; }
-  bool full() const { return opts_.mode == ResilienceMode::kFull; }
-  bool sanitize_updates() const { return full() && opts_.sanitize; }
-  bool speculates() const { return full() && opts_.speculate; }
 
   /// Current degradation rung; consulted by engines at epoch start.
   DegradeLevel level() const { return level_.load(std::memory_order_relaxed); }
@@ -165,8 +156,8 @@ class TrainingSupervisor final : public StraggleGate {
 
   /// One failed epoch (pillars 2+3): records the recovery, steps the
   /// ladder down, and returns the factor to scale alpha_scale by for the
-  /// retry — the legacy backoff in watchdog mode, seeded exponential
-  /// backoff in full mode, 1.0 for execution-time (non-numeric) failures.
+  /// retry — seeded exponential backoff, 1.0 for execution-time
+  /// (non-numeric) failures.
   double on_epoch_failed(bool numeric, std::size_t epoch);
   /// One clean epoch: resets the failure streak and, after promote_after
   /// consecutive clean epochs on a degraded rung, re-promotes one rung.

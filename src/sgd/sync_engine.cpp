@@ -153,12 +153,11 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   } else {
     // Synchronized mini-batch updates, shuffled batch order per epoch,
     // through the shared step-path runner (DESIGN.md §15): a dataflow
-    // task graph with no per-batch barrier, or the legacy pooled loop.
+    // task graph with no per-batch barrier.
     MinibatchEpochOptions mo;
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
     mo.pool = opts_.pool;
-    mo.graph = opts_.graph;
     mo.supervisor = supervisor_;
     run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
                         telemetry_.get(), mo);

@@ -76,17 +76,13 @@ struct SyncEngineOptions {
   /// SGD: its sync-MLP epoch counts equal the async cpu-seq (mini-batch)
   /// counts on 4 of 5 datasets, so the sync MLP engine updates per batch.
   std::size_t minibatch = 0;
-  /// Execution pool for the trajectory backend and pooled batch steps;
+  /// Execution pool for the trajectory backend and mini-batch steps;
   /// nullptr = the process-global pool. Execution-only: results are
   /// bit-identical for every pool (deterministic reduction grids).
   ThreadPool* pool = nullptr;
   /// Pin the CPU backend's order-sensitive reductions to the scalar
   /// reference order (CpuBackendOptions::deterministic; spec key `det=`).
   bool deterministic = true;
-  /// Mini-batch step path (spec key `graph=`): dataflow task graph (no
-  /// per-batch fork-join barrier) vs the legacy pooled loop. kAuto defers
-  /// to PARSGD_GRAPH (DESIGN.md §15). Full-batch epochs are unaffected.
-  GraphMode graph = GraphMode::kAuto;
 };
 
 class SyncEngine final : public Engine {

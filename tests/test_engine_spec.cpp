@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/check.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
@@ -71,25 +74,6 @@ TEST(EngineSpec, OptionFieldsParse) {
   EXPECT_EQ(h.family(), "sync/cpu+gpu");
 }
 
-TEST(EngineSpec, GraphKeyParsesAndRoundTrips) {
-  // graph=on|off survive the round trip in canonical key order;
-  // graph=auto is the default and is omitted on format.
-  for (const char* text : {
-           "sync/cpu-par/sparse:batch=1024,graph=on",
-           "sync/cpu-par/dense:det=off,graph=off",
-           "async/cpu-par/sparse:batch=64,graph=off,threads=8",
-       }) {
-    EXPECT_EQ(format_spec(parse_spec(text)), text);
-  }
-  EXPECT_EQ(parse_spec("sync/cpu-par/sparse:graph=on").graph,
-            GraphMode::kOn);
-  EXPECT_EQ(parse_spec("sync/cpu-par/sparse:graph=off").graph,
-            GraphMode::kOff);
-  const EngineSpec autod = parse_spec("sync/cpu-par/sparse:graph=auto");
-  EXPECT_EQ(autod.graph, GraphMode::kAuto);
-  EXPECT_EQ(format_spec(autod), "sync/cpu-par/sparse");
-}
-
 TEST(EngineSpec, MalformedSpecsRejected) {
   for (const char* text : {
            "",
@@ -112,6 +96,20 @@ TEST(EngineSpec, MalformedSpecsRejected) {
            "sync/cpu-par/sparse:graph=maybe",
        }) {
     EXPECT_FALSE(try_parse_spec(text).has_value()) << text;
+    EXPECT_THROW(parse_spec(text), CheckError) << text;
+  }
+  // Retired keys and values (the graph= step-path switch, the watchdog
+  // resilience preset) fail loudly and name the offending token instead
+  // of being silently accepted.
+  for (const auto& [text, token] : {
+           std::pair{"sync/cpu-par/sparse:graph=on", "'graph'"},
+           std::pair{"sync/cpu-par/sparse:graph=off", "'graph'"},
+           std::pair{"sync/cpu-par/sparse:resilience=watchdog",
+                     "'resilience=watchdog'"},
+       }) {
+    std::string error;
+    EXPECT_FALSE(try_parse_spec(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(token), std::string::npos) << text << ": " << error;
     EXPECT_THROW(parse_spec(text), CheckError) << text;
   }
 }

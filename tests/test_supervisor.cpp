@@ -75,7 +75,6 @@ TrainOptions full_epochs(std::size_t n) {
 
 TEST(SupervisorPolicy, ModeNamesRoundTrip) {
   for (const ResilienceMode m : {ResilienceMode::kOff,
-                                 ResilienceMode::kWatchdog,
                                  ResilienceMode::kFull}) {
     const auto back = parse_resilience_mode(to_string(m));
     ASSERT_TRUE(back.has_value()) << to_string(m);
@@ -96,9 +95,6 @@ TEST(SupervisorPolicy, SpecKeyParsesFormatsAndDefaultsOff) {
   EXPECT_EQ(format_spec(plain).find("resilience"), std::string::npos);
   EXPECT_FALSE(try_parse_spec("sync/cpu-seq/sparse:resilience=bogus")
                    .has_value());
-  EXPECT_EQ(parse_spec("async/cpu-par/sparse:resilience=watchdog")
-                .resilience,
-            ResilienceMode::kWatchdog);
 }
 
 TEST(SupervisorPolicy, PresetsMatchTheContract) {
@@ -106,32 +102,13 @@ TEST(SupervisorPolicy, PresetsMatchTheContract) {
       supervisor_options_for(ResilienceMode::kOff);
   EXPECT_EQ(off.mode, ResilienceMode::kOff);
 
-  // kWatchdog reproduces the legacy §11 numbers with every pillar off.
-  const SupervisorOptions wd =
-      supervisor_options_for(ResilienceMode::kWatchdog);
-  EXPECT_DOUBLE_EQ(wd.alpha_backoff, 0.1);
-  EXPECT_DOUBLE_EQ(wd.backoff_jitter, 0.0);
-  EXPECT_EQ(wd.recovery_budget, 3u);
-  EXPECT_FALSE(wd.speculate);
-  EXPECT_FALSE(wd.sanitize);
-  EXPECT_FALSE(wd.ladder);
-
   const SupervisorOptions f = supervisor_options_for(ResilienceMode::kFull);
-  EXPECT_TRUE(f.speculate);
-  EXPECT_TRUE(f.sanitize);
-  EXPECT_TRUE(f.ladder);
-  EXPECT_GT(f.recovery_budget, wd.recovery_budget);
+  EXPECT_EQ(f.mode, ResilienceMode::kFull);
+  EXPECT_DOUBLE_EQ(f.alpha_backoff, 0.5);
+  EXPECT_EQ(f.recovery_budget, 8u);
 
-  TrainingSupervisor sup(f, nullptr);
-  EXPECT_TRUE(sup.active());
-  EXPECT_TRUE(sup.full());
-  EXPECT_TRUE(sup.speculates());
-  EXPECT_TRUE(sup.sanitize_updates());
-  TrainingSupervisor wd_sup(wd, nullptr);
-  EXPECT_TRUE(wd_sup.active());
-  EXPECT_FALSE(wd_sup.full());
-  EXPECT_FALSE(wd_sup.speculates());
-  EXPECT_FALSE(wd_sup.sanitize_updates());
+  EXPECT_TRUE(TrainingSupervisor(f, nullptr).active());
+  EXPECT_FALSE(TrainingSupervisor(off, nullptr).active());
 }
 
 // ------------------------------------------------------- speculation gate
@@ -191,25 +168,14 @@ TEST(SupervisorGate, EpochDeadlineArmsAfterFirstObservation) {
   EXPECT_DOUBLE_EQ(sup.epoch_deadline_s(), 0.05 + 8 * 0.01);
   EXPECT_TRUE(sup.epoch_deadline_exceeded(0.2));
   EXPECT_FALSE(sup.epoch_deadline_exceeded(0.1));
-  // Watchdog mode never speculates on time.
-  TrainingSupervisor wd(supervisor_options_for(ResilienceMode::kWatchdog),
-                        nullptr);
-  wd.observe_epoch_seconds(0.01);
-  EXPECT_DOUBLE_EQ(wd.epoch_deadline_s(), 0.0);
+  // A detached (off) supervisor never speculates on time.
+  TrainingSupervisor off(supervisor_options_for(ResilienceMode::kOff),
+                         nullptr);
+  off.observe_epoch_seconds(0.01);
+  EXPECT_DOUBLE_EQ(off.epoch_deadline_s(), 0.0);
 }
 
 // ------------------------------------------------------- backoff + ladder
-
-TEST(SupervisorBackoff, WatchdogModeIsTheFixedLegacyFactor) {
-  TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kWatchdog),
-                         nullptr);
-  EXPECT_DOUBLE_EQ(sup.on_epoch_failed(/*numeric=*/true, 3), 0.1);
-  EXPECT_DOUBLE_EQ(sup.on_epoch_failed(/*numeric=*/true, 3), 0.1);
-  EXPECT_EQ(sup.stats().recoveries, 2u);
-  // The legacy watchdog never moves the ladder.
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  EXPECT_EQ(sup.stats().ladder_down, 0u);
-}
 
 TEST(SupervisorBackoff, FullModeEscalatesAndJitters) {
   SupervisorOptions o = supervisor_options_for(ResilienceMode::kFull);
@@ -242,14 +208,12 @@ TEST(SupervisorLadder, DegradesPerFailureAndPromotesAfterCleanStreak) {
   TrainingSupervisor sup(o, nullptr);
   EXPECT_EQ(sup.level(), DegradeLevel::kNone);
   sup.on_epoch_failed(true, 0);
-  EXPECT_EQ(sup.level(), DegradeLevel::kPooled);
-  sup.on_epoch_failed(true, 0);
   EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
   sup.on_epoch_failed(true, 0);
   EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
   sup.on_epoch_failed(true, 0);  // the ladder has a bottom rung
   EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  EXPECT_EQ(sup.stats().ladder_down, 3u);
+  EXPECT_EQ(sup.stats().ladder_down, 2u);
 
   // Each promote_after-long clean streak buys one rung back.
   sup.on_epoch_clean();
@@ -257,13 +221,13 @@ TEST(SupervisorLadder, DegradesPerFailureAndPromotesAfterCleanStreak) {
   EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
   sup.on_epoch_clean();
   EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
-  for (int i = 0; i < 6; ++i) sup.on_epoch_clean();
+  for (int i = 0; i < 3; ++i) sup.on_epoch_clean();
   EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  EXPECT_EQ(sup.stats().ladder_up, 3u);
+  EXPECT_EQ(sup.stats().ladder_up, 2u);
   // A failure after re-promotion degrades again from the top.
   sup.on_epoch_failed(true, 9);
-  EXPECT_EQ(sup.level(), DegradeLevel::kPooled);
-  EXPECT_EQ(sup.stats().ladder_down, 4u);
+  EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
+  EXPECT_EQ(sup.stats().ladder_down, 3u);
 }
 
 TEST(SupervisorLadder, ForceLevelIsUncountedOverride) {
@@ -381,29 +345,10 @@ TEST(SupervisorTraining, NumericFailuresWalkLadderAndExhaustBudget) {
       supervisor_options_for(ResilienceMode::kFull).recovery_budget;
   EXPECT_EQ(r.recoveries.size(), budget);
   EXPECT_EQ(r.resilience.recoveries, budget);
-  EXPECT_EQ(r.resilience.ladder_down, 3u);
+  EXPECT_EQ(r.resilience.ladder_down, 2u);
   EXPECT_EQ(r.resilience.ladder_up, 0u);
   EXPECT_EQ(r.resilience.final_level, DegradeLevel::kScalar);
   EXPECT_LT(r.alpha_scale, 1.0);
-}
-
-TEST(SupervisorTraining, WatchdogModeMatchesLegacyWatchdog) {
-  Fixture f;
-  TrainOptions legacy = epochs(10);
-  legacy.watchdog.enabled = true;
-  TrainOptions explicit_mode = epochs(10);
-  explicit_mode.supervisor =
-      supervisor_options_for(ResilienceMode::kWatchdog);
-  const RunResult a =
-      f.run("sync/cpu-seq/sparse:faults=nan@3", real_t(0.5), legacy);
-  const RunResult b = f.run("sync/cpu-seq/sparse:faults=nan@3", real_t(0.5),
-                            explicit_mode);
-  EXPECT_EQ(a.losses, b.losses);
-  EXPECT_DOUBLE_EQ(a.alpha_scale, b.alpha_scale);
-  ASSERT_EQ(a.recoveries.size(), b.recoveries.size());
-  ASSERT_EQ(a.recoveries.size(), 1u);
-  EXPECT_EQ(a.recoveries[0].epoch, b.recoveries[0].epoch);
-  EXPECT_DOUBLE_EQ(b.alpha_scale, 0.1);  // the legacy fixed backoff
 }
 
 TEST(SupervisorTraining, TimedAutoCheckpointCrashResumesOnGraphPath) {
@@ -412,7 +357,7 @@ TEST(SupervisorTraining, TimedAutoCheckpointCrashResumesOnGraphPath) {
   Fixture f;
   ThreadPool pool(4);
   f.ctx.pool = &pool;
-  const std::string spec = "sync/cpu-par/sparse:batch=32,graph=on";
+  const std::string spec = "sync/cpu-par/sparse:batch=32";
   const real_t alpha = real_t(0.1);
 
   // Baseline with a time cadence so aggressive it checkpoints after
@@ -430,7 +375,7 @@ TEST(SupervisorTraining, TimedAutoCheckpointCrashResumesOnGraphPath) {
   crashing.checkpoint_path = ckpath;
   crashing.checkpoint_every_seconds = 1e-9;
   EXPECT_THROW(
-      f.run("sync/cpu-par/sparse:batch=32,faults=crash@6,graph=on", alpha,
+      f.run("sync/cpu-par/sparse:batch=32,faults=crash@6", alpha,
             crashing),
       CrashFault);
 

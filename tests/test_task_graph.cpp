@@ -1,8 +1,8 @@
 // TaskGraph executor (DESIGN.md §15): dependency ordering, exception
 // draining, reuse, telemetry — plus the determinism contract of the
 // mini-batch step path built on it: trajectories are bit-identical across
-// pool sizes on BOTH the graph and the legacy pooled path, and the graph
-// path collapses to the pooled numbers below the decomposition floor.
+// pool sizes, and below the decomposition floor the graph path collapses
+// to the numbers of the supervisor's sequential rung.
 #include "parallel/task_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -21,16 +21,12 @@
 #include "models/linear.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sgd/step_path.hpp"
+#include "sgd/supervisor.hpp"
 #include "sgd/sync_engine.hpp"
 #include "telemetry/session.hpp"
 
 namespace parsgd {
 namespace {
-
-TEST(GraphMode, ExplicitModesResolveWithoutEnvironment) {
-  EXPECT_TRUE(graph_enabled(GraphMode::kOn));
-  EXPECT_FALSE(graph_enabled(GraphMode::kOff));
-}
 
 TEST(TaskGraph, EmptyRunIsNoop) {
   ThreadPool pool(2);
@@ -257,14 +253,16 @@ struct StepPathFixture {
     data.y = y;
   }
 
-  std::vector<real_t> run(std::size_t batch, GraphMode mode,
-                          std::size_t pool_size, int epochs = 3) const {
+  /// `supervisor` (optional) selects a degradation-ladder rung.
+  std::vector<real_t> run(std::size_t batch, std::size_t pool_size,
+                          const TrainingSupervisor* supervisor = nullptr,
+                          int epochs = 3) const {
     ThreadPool pool(pool_size);
     FaultInjector faults;
     MinibatchEpochOptions opts;
     opts.minibatch = batch;
     opts.pool = &pool;
-    opts.graph = mode;
+    opts.supervisor = supervisor;
     std::vector<real_t> w = model.init_params(5);
     Rng rng(7);
     for (int e = 0; e < epochs; ++e) {
@@ -279,40 +277,34 @@ TEST(StepPathDeterminism, GraphTrajectoryIsPoolSizeInvariant) {
   const StepPathFixture f;
   // batch 1024 decomposes into 8 gradient chunks + a merge tree; the
   // decomposition grid depends only on (batch, dim), never on the pool.
-  const std::vector<real_t> w1 = f.run(1024, GraphMode::kOn, 1);
-  const std::vector<real_t> w2 = f.run(1024, GraphMode::kOn, 2);
-  const std::vector<real_t> w8 = f.run(1024, GraphMode::kOn, 8);
-  EXPECT_EQ(w1, w2);
-  EXPECT_EQ(w1, w8);
-}
-
-TEST(StepPathDeterminism, PooledTrajectoryIsPoolSizeInvariant) {
-  const StepPathFixture f;
-  const std::vector<real_t> w1 = f.run(1024, GraphMode::kOff, 1);
-  const std::vector<real_t> w2 = f.run(1024, GraphMode::kOff, 2);
-  const std::vector<real_t> w8 = f.run(1024, GraphMode::kOff, 8);
+  const std::vector<real_t> w1 = f.run(1024, 1);
+  const std::vector<real_t> w2 = f.run(1024, 2);
+  const std::vector<real_t> w8 = f.run(1024, 8);
   EXPECT_EQ(w1, w2);
   EXPECT_EQ(w1, w8);
 }
 
 TEST(StepPathDeterminism, GraphIsRunToRunStable) {
   const StepPathFixture f;
-  EXPECT_EQ(f.run(1024, GraphMode::kOn, 4), f.run(1024, GraphMode::kOn, 4));
+  EXPECT_EQ(f.run(1024, 4), f.run(1024, 4));
 }
 
-TEST(StepPathDeterminism, GraphMatchesPooledBelowDecompositionFloor) {
+TEST(StepPathDeterminism, GraphMatchesSequentialRungBelowDecompositionFloor) {
   // Batches under kGraphMinBatch stay a single sequential task, so the
-  // graph path is bit-identical to the pooled (batch_step) numbers —
-  // which is what keeps small-batch fault tests and hogbatch trajectories
-  // unchanged by the scheduler swap.
+  // graph path is bit-identical to the sequential rung's plain batch_step
+  // loop — which is what keeps small-batch fault tests and hogbatch
+  // trajectories unchanged when the ladder steps down.
   const StepPathFixture f;
-  EXPECT_EQ(f.run(256, GraphMode::kOn, 4), f.run(256, GraphMode::kOff, 4));
+  TrainingSupervisor sequential(
+      supervisor_options_for(ResilienceMode::kFull), nullptr);
+  sequential.force_level(DegradeLevel::kSequential);
+  EXPECT_EQ(f.run(256, 4), f.run(256, 4, &sequential));
 }
 
 TEST(StepPathDeterminism, SyncEngineTrajectoryInvariantAcrossPools) {
   // The same contract end-to-end through SyncEngine (det=on default):
   // mini-batch epochs via the engine are bit-identical across pool sizes
-  // {1, 2, 8} on both step paths.
+  // {1, 2, 8}.
   const Dataset ds =
       generate_dataset("w8a", GeneratorOptions{.seed = 5, .scale = 20.0});
   LogisticRegression lr(ds.d());
@@ -322,12 +314,11 @@ TEST(StepPathDeterminism, SyncEngineTrajectoryInvariantAcrossPools) {
   const ScaleContext scale = make_scale_context(ds, lr, ds.profile.dense);
   const std::vector<real_t> w0 = lr.init_params(5);
 
-  auto run = [&](GraphMode mode, std::size_t pool_size) {
+  auto run = [&](std::size_t pool_size) {
     ThreadPool pool(pool_size);
     SyncEngineOptions opts;
     opts.minibatch = 1024;
     opts.pool = &pool;
-    opts.graph = mode;
     SyncEngine e(lr, data, scale, opts);
     std::vector<real_t> w = w0;
     Rng rng(9);
@@ -335,11 +326,9 @@ TEST(StepPathDeterminism, SyncEngineTrajectoryInvariantAcrossPools) {
     return w;
   };
 
-  for (const GraphMode mode : {GraphMode::kOn, GraphMode::kOff}) {
-    const std::vector<real_t> w1 = run(mode, 1);
-    EXPECT_EQ(w1, run(mode, 2));
-    EXPECT_EQ(w1, run(mode, 8));
-  }
+  const std::vector<real_t> w1 = run(1);
+  EXPECT_EQ(w1, run(2));
+  EXPECT_EQ(w1, run(8));
 }
 
 }  // namespace

@@ -218,7 +218,7 @@ TEST(TelemetryExport, ChromeTraceParsesBack) {
     PoolTelemetryGuard guard(pool, &session);
     pool.parallel_for(256, [](std::size_t, std::size_t) {});
   }
-  session.trace().instant("watchdog.rollback", {{"epoch", 3.0}});
+  session.trace().instant("resilience.recover", {{"epoch", 3.0}});
 
   std::ostringstream os;
   write_chrome_trace(os, session);
@@ -227,7 +227,7 @@ TEST(TelemetryExport, ChromeTraceParsesBack) {
   // Per-worker chunk spans, the epoch lane and the instant all survive.
   EXPECT_NE(json.find("\"chunk\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch\""), std::string::npos);
-  EXPECT_NE(json.find("watchdog.rollback"), std::string::npos);
+  EXPECT_NE(json.find("resilience.recover"), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
