@@ -427,11 +427,10 @@ void BM_KernelSpmvRow(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSpmvRow)->Arg(0)->Arg(1)->Arg(2);
 
-// ---- mini-batch step path: dataflow graph ----
-// One synchronized mini-batch epoch (sgd/step_path) on the TaskGraph
-// path (the whole epoch as one dependency graph, no per-batch barrier;
-// DESIGN.md §15). Sparse LR with deliberately light per-batch arithmetic
-// so the scheduling floor dominates. Reproduce the committed numbers:
+// ---- mini-batch step path ----
+// One synchronized mini-batch epoch (sgd/step_path, DESIGN.md §15): the
+// sequential batch_step loop over shuffled batches. Sparse LR with light
+// per-batch arithmetic; the argument is the batch size. Reproduce:
 //   ./bench/bench_micro_linalg --benchmark_filter=StepPath
 //       --benchmark_out=micro_linalg_steppath.json
 //       --benchmark_out_format=json
@@ -439,7 +438,7 @@ BENCHMARK(BM_KernelSpmvRow)->Arg(0)->Arg(1)->Arg(2);
 constexpr std::size_t kStepPathRows = 16384;
 constexpr std::size_t kStepPathCols = 512;
 constexpr std::size_t kStepPathNnzRow = 32;
-constexpr std::size_t kStepPathBatch = 2048;  ///< >= decomposition floor
+constexpr std::size_t kStepPathBatch = 2048;  ///< calibration entry batch
 
 struct StepPathProblem {
   CsrMatrix x;
@@ -462,15 +461,14 @@ struct StepPathProblem {
   }
 };
 
-void BM_StepPath_Graph(benchmark::State& state) {
+void BM_StepPath(benchmark::State& state) {
   const StepPathProblem p;
   const std::vector<real_t> w0 = p.model.init_params(5);
   std::vector<real_t> w = w0;
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  const auto batch = static_cast<std::size_t>(state.range(0));
   FaultInjector faults;
   MinibatchEpochOptions opts;
-  opts.minibatch = kStepPathBatch;
-  opts.pool = &pool;
+  opts.minibatch = batch;
   Rng order(31);
   for (auto _ : state) {
     w = w0;  // keep every epoch numerically identical
@@ -478,14 +476,13 @@ void BM_StepPath_Graph(benchmark::State& state) {
                         nullptr, opts);
     benchmark::DoNotOptimize(w.data());
   }
-  const auto batches =
-      (kStepPathRows + kStepPathBatch - 1) / kStepPathBatch;
+  const auto batches = (kStepPathRows + batch - 1) / batch;
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kStepPathRows));
   state.counters["batches_per_epoch"] = static_cast<double>(batches);
 }
 
-BENCHMARK(BM_StepPath_Graph)->Arg(2)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StepPath)->Arg(64)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 // GPU-simulated SpMV: measures simulator overhead per nonzero and reports
 // the modeled kernel cycles as a counter.
@@ -682,21 +679,19 @@ int run_calibration_report(const std::string& dir) {
               gemm_best_speedup);
   rep.add_entry(std::move(cal));
 
-  // Step-path scheduling overhead: one mini-batch epoch on the dataflow
-  // task graph, diffable across commits like the kernel speedups above.
+  // Step-path cost: one mini-batch epoch of the batch_step loop,
+  // diffable across commits like the kernel speedups above.
   {
     const StepPathProblem p;
     const std::vector<real_t> w0 = p.model.init_params(5);
     std::vector<real_t> w = w0;
-    ThreadPool pool(8);
     FaultInjector faults;
     Rng order(31);
     const double batches = static_cast<double>(
         (kStepPathRows + kStepPathBatch - 1) / kStepPathBatch);
     MinibatchEpochOptions opts;
     opts.minibatch = kStepPathBatch;
-    opts.pool = &pool;
-    const double graph_secs = best_secs_per_call(
+    const double secs = best_secs_per_call(
         [&] {
           w = w0;
           run_minibatch_epoch(p.model, p.data, real_t(0.05), w, order,
@@ -705,9 +700,8 @@ int run_calibration_report(const std::string& dir) {
         /*reps=*/40, /*trials=*/5);
     report::Entry sp;
     sp.label = "step_path/minibatch";
-    sp.extras.emplace_back("graph_us_per_batch", graph_secs * 1e6 / batches);
-    std::printf("  step_path     graph %8.1f us/batch\n",
-                graph_secs * 1e6 / batches);
+    sp.extras.emplace_back("us_per_batch", secs * 1e6 / batches);
+    std::printf("  step_path     %8.1f us/batch\n", secs * 1e6 / batches);
     rep.add_entry(std::move(sp));
   }
 

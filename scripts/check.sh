@@ -89,36 +89,33 @@ obs_tmp="$(mktemp -d)"
 rm -rf "$obs_tmp"
 
 # Kernel-equivalence suite under ASan+UBSan (separate build tree so the
-# main gate binaries stay uninstrumented). The task-graph executor runs
-# there too (lifetime/overflow bugs in lane queues and scratch buffers),
-# and the supervisor suite joins it (EWMA gate + ladder state touched
-# from every pool worker). The cluster simulator joins both sanitizer
-# lanes: its delay ring and sharding cursors are fresh memory-layout
-# code, and its batched unit steps cross worker threads. The flight
-# recorder joins both lanes too: its seqlock ring is raw index math over
-# a flat buffer (ASan) read concurrently with the writer (TSan), and
-# the telemetry exporters render snapshots while instruments are live.
+# main gate binaries stay uninstrumented). The supervisor suite joins it
+# (EWMA gate + ladder state touched from pool workers). The cluster
+# simulator joins both sanitizer lanes: its delay ring and sharding
+# cursors are fresh memory-layout code, and its all-reduce head runs on
+# the pool. The flight recorder joins both lanes too: its seqlock ring is
+# raw index math over a flat buffer (ASan) read concurrently with the
+# writer (TSan), and the telemetry exporters render snapshots while
+# instruments are live.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=address
-cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels --target test_task_graph \
+cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels \
     --target test_supervisor --target test_clustersim \
     --target test_flight_recorder --target test_telemetry
 "$ASAN_BUILD_DIR/tests/test_kernels"
-"$ASAN_BUILD_DIR/tests/test_task_graph"
 "$ASAN_BUILD_DIR/tests/test_supervisor"
 "$ASAN_BUILD_DIR/tests/test_clustersim"
 "$ASAN_BUILD_DIR/tests/test_flight_recorder"
 "$ASAN_BUILD_DIR/tests/test_telemetry"
 
-# The executor's concurrency (work-stealing deques, park/wake protocol,
-# atomic in-degree release) under ThreadSanitizer, plus the fault
-# injector's atomic counters and the supervisor's cross-worker gate.
+# The pool's concurrency (lock-free chunk dispatch, spin-then-park
+# wake protocol) under ThreadSanitizer, plus the fault injector's atomic
+# counters and the supervisor's cross-worker gate.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
-cmake --build "$TSAN_BUILD_DIR" -j --target test_task_graph --target test_thread_pool \
+cmake --build "$TSAN_BUILD_DIR" -j --target test_thread_pool \
     --target test_faults --target test_supervisor --target test_clustersim \
     --target test_flight_recorder --target test_telemetry
-"$TSAN_BUILD_DIR/tests/test_task_graph"
 "$TSAN_BUILD_DIR/tests/test_thread_pool"
 "$TSAN_BUILD_DIR/tests/test_faults"
 "$TSAN_BUILD_DIR/tests/test_supervisor"
@@ -135,6 +132,6 @@ trap 'rm -rf "$tmp"' EXIT
 echo "check.sh: tier-1 (simd + scalar) + fault sweep" \
      "+ cluster smoke + observability lane (overhead gate, recorder," \
      "status schema, --attribute)" \
-     "+ ASan kernels/graph/supervisor/cluster/recorder/telemetry" \
-     "+ TSan graph/pool/faults/supervisor/cluster/recorder/telemetry" \
+     "+ ASan kernels/supervisor/cluster/recorder/telemetry" \
+     "+ TSan pool/faults/supervisor/cluster/recorder/telemetry" \
      "+ regression smoke OK"

@@ -129,8 +129,8 @@ CostBreakdown AsyncSim::run_epoch(std::span<real_t> w, real_t alpha,
   if (faults != nullptr && !faults->active()) faults = nullptr;
   last_stale_units_ = 0;
   const CostBreakdown cost =
-      snapshot_mode_ ? epoch_snapshot(w, alpha, rng, faults, telemetry)
-                     : epoch_inplace(w, alpha, rng, faults, telemetry);
+      snapshot_mode_ ? epoch_snapshot(w, alpha, rng, faults)
+                     : epoch_inplace(w, alpha, rng, faults);
   if (telemetry != nullptr && telemetry->metrics_enabled()) {
     telemetry::MetricsRegistry& reg = telemetry->metrics();
     const std::size_t units =
@@ -143,8 +143,7 @@ CostBreakdown AsyncSim::run_epoch(std::span<real_t> w, real_t alpha,
 }
 
 CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
-                                      Rng& rng, FaultInjector* faults,
-                                      telemetry::TelemetrySession* telemetry) {
+                                      Rng& rng, FaultInjector* faults) {
   CostBreakdown cost;
   const std::size_t n = data_.n();
   const std::size_t units = (n + opts_.batch - 1) / opts_.batch;
@@ -157,7 +156,6 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
   // Scratch target for dropped updates: the work is computed (and costed)
   // but the result never reaches the shared model.
   std::vector<real_t> lost;
-  UnitStepGraph unit_step(opts_.pool, telemetry, faults);
   while (!part.exhausted()) {
     window.clear();
     for (int t = 0; t < workers; ++t) {
@@ -191,8 +189,9 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
           cost.bytes_streamed += example_bytes(data_, begin,
                                                opts_.prefer_dense);
         } else {
-          unit_step.step(model_, data_, begin, end, opts_.prefer_dense,
-                         alpha, w, drop ? std::span<real_t>(lost) : w);
+          if (faults != nullptr) faults->before_step();
+          model_.batch_step(data_, begin, end, opts_.prefer_dense, alpha, w,
+                            drop ? std::span<real_t>(lost) : w);
           if (drop) std::fill(lost.begin(), lost.end(), real_t(0));
           for (std::size_t i = begin; i < end; ++i) {
             const std::size_t k =
@@ -219,8 +218,7 @@ CostBreakdown AsyncSim::epoch_inplace(std::span<real_t> w, real_t alpha,
 }
 
 CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
-                                       Rng& rng, FaultInjector* faults,
-                                       telemetry::TelemetrySession* telemetry) {
+                                       Rng& rng, FaultInjector* faults) {
   // Delayed-gradient ("perturbed iterate") simulation: units execute in a
   // globally interleaved order; unit i computes its gradient from the
   // model state as of unit i - tau (tau = workers - 1: while one worker
@@ -257,7 +255,6 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
   std::vector<index_t> touched;
   std::vector<std::uint32_t> lines_scratch;
   std::size_t units_in_window = 0;
-  UnitStepGraph unit_step(opts_.pool, telemetry, faults);
 
   // Globally interleaved unit order: round-robin over workers.
   bool any = true;
@@ -305,8 +302,9 @@ CostBreakdown AsyncSim::epoch_snapshot(std::span<real_t> w, real_t alpha,
         cost.bytes_streamed += example_bytes(data_, begin,
                                              opts_.prefer_dense);
       } else {
-        unit_step.step(model_, data_, begin, end, opts_.prefer_dense, alpha,
-                       view, delta);
+        if (faults != nullptr) faults->before_step();
+        model_.batch_step(data_, begin, end, opts_.prefer_dense, alpha, view,
+                          delta);
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t k =
               data_.example(i, opts_.prefer_dense).touched();

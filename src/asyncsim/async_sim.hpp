@@ -53,10 +53,6 @@ struct AsyncSimOptions {
   /// Models at most this big (bytes) use snapshot mode when updates are
   /// sparse; dense-update models always snapshot.
   std::size_t snapshot_budget_bytes = 1u << 18;
-  /// Execution pool for the per-unit task graphs of Hogbatch units
-  /// (UnitStepGraph, bit-identical for every pool size); nullptr = the
-  /// process-global pool.
-  ThreadPool* pool = nullptr;
 };
 
 /// Simulates asynchronous epochs of `model` over `data`.
@@ -69,7 +65,8 @@ class AsyncSim {
   /// Returns the work/conflict ledger of the epoch. `faults`, when
   /// non-null, injects per-unit failures (DESIGN.md §11): dropped updates
   /// in both modes, extra straggler staleness in snapshot mode (in-place
-  /// Hogwild has no staleness to stretch), and update corruption.
+  /// Hogwild has no staleness to stretch), an execution-only straggler
+  /// delay before each Hogbatch unit, and update corruption.
   /// `telemetry`, when non-null with metrics on, accumulates the epoch's
   /// async.updates / async.stale_units / async.write_conflicts counters
   /// (recorded once per epoch from the ledger — no hot-loop cost, and
@@ -83,11 +80,9 @@ class AsyncSim {
 
  private:
   CostBreakdown epoch_snapshot(std::span<real_t> w, real_t alpha, Rng& rng,
-                               FaultInjector* faults,
-                               telemetry::TelemetrySession* telemetry);
+                               FaultInjector* faults);
   CostBreakdown epoch_inplace(std::span<real_t> w, real_t alpha, Rng& rng,
-                              FaultInjector* faults,
-                              telemetry::TelemetrySession* telemetry);
+                              FaultInjector* faults);
 
   const Model& model_;
   const TrainData& data_;

@@ -126,7 +126,6 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
   std::vector<real_t> view(dim), delta(dim, 0);
 
   std::vector<index_t> touched;
-  UnitStepGraph unit_step(opts_.pool, telemetry, faults);
 
   // Globally interleaved unit order: round-robin over nodes.
   bool any = true;
@@ -180,8 +179,9 @@ CostBreakdown ClusterSim::run_epoch(std::span<real_t> w, real_t alpha,
           pull_bytes = push_bytes;
         }
       } else {
-        unit_step.step(model_, data_, begin, end, opts_.prefer_dense, alpha,
-                       view, delta);
+        if (faults != nullptr) faults->before_step();
+        model_.batch_step(data_, begin, end, opts_.prefer_dense, alpha, view,
+                          delta);
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t k =
               data_.example(i, opts_.prefer_dense).touched();

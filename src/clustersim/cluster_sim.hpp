@@ -63,11 +63,6 @@ struct ClusterSimOptions {
   /// (N-1) + D_net derivation when nonzero.
   std::size_t delay_override = 0;
   bool prefer_dense = false;
-  /// Pool for the per-unit task graphs of batched units (UnitStepGraph,
-  /// DESIGN.md §15 — bit-identical for every pool size; cross-unit order
-  /// is the staleness semantics and stays sequential); nullptr = the
-  /// process-global pool.
-  ThreadPool* pool = nullptr;
 };
 
 /// Per-epoch cluster event ledger (beyond the CostBreakdown).

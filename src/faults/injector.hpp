@@ -129,6 +129,14 @@ class FaultInjector {
   /// trajectory is unchanged; only wall time and counters move).
   void chunk_hook(std::size_t chunk);
 
+  /// Straggler seam of the mini-batch step loops, called once before each
+  /// step: chunk_hook keyed by the run-global update-step count, so the
+  /// decision varies across units and epochs. No-op unless a straggler
+  /// plan is active.
+  void before_step() {
+    if (active() && plan_.straggler_prob > 0) chunk_hook(step_);
+  }
+
   /// Straggle delay actually applied (post-gating), in microseconds,
   /// accumulated across all chunk hooks since install/reset. The
   /// attribution ledger reads per-epoch deltas of this for its host
@@ -153,9 +161,9 @@ class FaultInjector {
   bool nodedown_fired_ = false;
   bool sanitize_ = false;
 
-  // All counters are atomic: graph-mode tasks and pool chunk hooks can
-  // bump or read them from worker threads while the driving thread reads
-  // counters() (relaxed — they are statistics, not synchronization).
+  // All counters are atomic: pool chunk hooks can bump or read them from
+  // worker threads while the driving thread reads counters() (relaxed —
+  // they are statistics, not synchronization).
   std::atomic<std::size_t> corruptions_{0};
   std::atomic<std::size_t> bitflips_{0};
   std::atomic<std::size_t> dropped_{0};

@@ -64,116 +64,6 @@ void LinearModel::batch_step(const TrainData& data, std::size_t begin,
   }
 }
 
-namespace {
-
-/// Fixed-grid decomposition knobs for batch_step_graph. All pool-size
-/// independent — the grid depends only on (batch size, dim), which is
-/// what keeps graph trajectories bit-identical across worker counts.
-constexpr std::size_t kGraphMinBatch = 512;   ///< below: one task
-constexpr std::size_t kGraphGrain = 128;      ///< examples per chunk
-constexpr std::size_t kGraphMaxChunks = 16;
-/// Budget (doubles) for the per-chunk dense partial gradients, so
-/// high-dimensional sparse models (news20: d ~ 1.3M) stay at a few
-/// chunks instead of allocating kGraphMaxChunks model-sized buffers.
-constexpr std::size_t kGraphPartialBudget = std::size_t{1} << 22;
-
-/// Even split of [0, n): same arithmetic as the pool's chunk grid.
-inline void graph_chunk_range(std::size_t n, std::size_t chunks,
-                              std::size_t c, std::size_t& lo,
-                              std::size_t& hi) {
-  const std::size_t base = n / chunks, extra = n % chunks;
-  lo = c * base + std::min(c, extra);
-  hi = lo + base + (c < extra ? 1 : 0);
-}
-
-}  // namespace
-
-TaskGraph::TaskId LinearModel::batch_step_graph(
-    TaskGraph& graph, BatchGraphScratch& scratch, const TrainData& data,
-    std::size_t begin, std::size_t end, bool prefer_dense, real_t alpha,
-    std::span<const real_t> w_read, std::span<real_t> w_write,
-    TaskGraph::TaskId after) const {
-  const std::size_t nb = end - begin;
-  const std::size_t dim_cap =
-      std::max<std::size_t>(1, kGraphPartialBudget / std::max<std::size_t>(
-                                                         dim(), 1));
-  const std::size_t chunks =
-      nb < kGraphMinBatch
-          ? 1
-          : std::min({(nb + kGraphGrain - 1) / kGraphGrain,
-                      kGraphMaxChunks, dim_cap});
-  if (chunks <= 1) {
-    // Small batch: one sequential task, bit-identical to batch_step (the
-    // sequential rung of the degradation ladder).
-    return Model::batch_step_graph(graph, scratch, data, begin, end,
-                                   prefer_dense, alpha, w_read, w_write,
-                                   after);
-  }
-  if (scratch.partial.size() < chunks) scratch.partial.resize(chunks);
-  const TrainData* dp = &data;
-  BatchGraphScratch* sp = &scratch;
-  const std::size_t d = dim();
-
-  // Gradient chunks: each accumulates its example slice into a private
-  // partial (margins fused with accumulation — no shared writes), gated
-  // only on the previous batch's update.
-  std::vector<TaskGraph::TaskId> owner(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t lo, hi;
-    graph_chunk_range(nb, chunks, c, lo, hi);
-    owner[c] = graph.add(
-        [this, dp, sp, c, d, begin, lo, hi, prefer_dense, w_read] {
-          std::vector<double>& g = sp->partial[c];
-          g.assign(d, 0.0);
-          for (std::size_t i = begin + lo; i < begin + hi; ++i) {
-            const ExampleView x = dp->example(i, prefer_dense);
-            const double coef = margin_grad(x.dot(w_read), dp->y[i]);
-            if (coef == 0.0) continue;
-            x.for_each([&](index_t j, real_t v) { g[j] += coef * v; });
-          }
-        },
-        {after}, "grad_chunk");
-  }
-
-  // Partial tree reduction, fan-in 4 in a fixed merge order (group base
-  // absorbs members in ascending stride order), so the summation grouping
-  // is a function of `chunks` alone.
-  for (std::size_t stride = 1; stride < chunks; stride *= 4) {
-    for (std::size_t g0 = 0; g0 + stride < chunks; g0 += 4 * stride) {
-      TaskGraph::TaskId deps[4] = {owner[g0], TaskGraph::kNoTask,
-                                   TaskGraph::kNoTask, TaskGraph::kNoTask};
-      for (std::size_t k = 1; k < 4 && g0 + k * stride < chunks; ++k) {
-        deps[k] = owner[g0 + k * stride];
-      }
-      owner[g0] = graph.add(
-          [sp, g0, stride, chunks, d] {
-            std::vector<double>& dst = sp->partial[g0];
-            for (std::size_t k = 1; k < 4 && g0 + k * stride < chunks;
-                 ++k) {
-              const std::vector<double>& src =
-                  sp->partial[g0 + k * stride];
-              for (std::size_t j = 0; j < d; ++j) dst[j] += src[j];
-            }
-          },
-          std::span<const TaskGraph::TaskId>(deps, 4), "grad_merge");
-    }
-  }
-
-  // Model update from the fully merged partial; the returned id is what
-  // the next batch's gradient chunks depend on.
-  const double scale = 1.0 / static_cast<double>(nb);
-  return graph.add(
-      [sp, d, alpha, scale, w_write] {
-        const std::vector<double>& g = sp->partial[0];
-        for (std::size_t j = 0; j < d; ++j) {
-          if (g[j] != 0.0) {
-            w_write[j] -= static_cast<real_t>(alpha * scale * g[j]);
-          }
-        }
-      },
-      {owner[0]}, "model_update");
-}
-
 double LinearModel::sync_epoch(linalg::Backend& backend,
                                const TrainData& data, bool use_dense,
                                real_t alpha, std::span<real_t> w) const {

@@ -26,11 +26,6 @@ class LinearModel : public Model {
                   bool prefer_dense, real_t alpha,
                   std::span<const real_t> w_read,
                   std::span<real_t> w_write) const override;
-  TaskGraph::TaskId batch_step_graph(
-      TaskGraph& graph, BatchGraphScratch& scratch, const TrainData& data,
-      std::size_t begin, std::size_t end, bool prefer_dense, real_t alpha,
-      std::span<const real_t> w_read, std::span<real_t> w_write,
-      TaskGraph::TaskId after) const override;
   double sync_epoch(linalg::Backend& backend, const TrainData& data,
                     bool use_dense, real_t alpha,
                     std::span<real_t> w) const override;

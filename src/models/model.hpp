@@ -5,17 +5,15 @@
 //  * a per-example incremental step (Algorithm 3 — the Hogwild unit of
 //    work), with explicit read-model / write-model spans so asyncsim can
 //    interpose stale snapshots and count write conflicts;
-//  * a mini-batch step (the Hogbatch unit of work for MLP, §IV-B), run
-//    sequentially by batch_step or built into a TaskGraph by
-//    batch_step_graph (the one parallel mini-batch step path, DESIGN.md
-//    §15).
+//  * a mini-batch step (the Hogbatch unit of work for MLP, §IV-B),
+//    batch_step — the one mini-batch step every engine and simulator
+//    runs, one batch at a time (DESIGN.md §15).
 //
 // Models are stateless with respect to parameters: the flat parameter
 // vector is always passed in, because asynchronous simulation needs
 // several concurrent copies (global model + per-worker snapshots).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,26 +21,8 @@
 #include "hwmodel/cost.hpp"
 #include "linalg/backend.hpp"
 #include "matrix/example_view.hpp"
-#include "parallel/task_graph.hpp"
 
 namespace parsgd {
-
-class FaultInjector;
-
-/// Reusable buffers for batch_step_graph: per-chunk partial gradients (and
-/// per-chunk coefficient slices for models that stage them). One scratch
-/// serves a whole epoch graph — the update-task chain guarantees at most
-/// one batch's tasks are in flight, so buffers are recycled batch to
-/// batch. Task bodies capture the scratch by pointer and index it at run
-/// time (the outer vectors may grow while later batches are being built).
-struct BatchGraphScratch {
-  std::vector<std::vector<double>> partial;  ///< per-chunk dense gradients
-};
-
-/// Installs the straggler delay of `faults` as `graph`'s task hook when
-/// its plan has stragglers: the hashed per-task decision delays a task
-/// body, never the trajectory. No-op for null or inactive faults.
-void set_straggler_hook(TaskGraph& graph, FaultInjector* faults);
 
 /// The training input handed to engines: sparse features always, dense
 /// when materialized, labels in {-1,+1}.
@@ -104,27 +84,6 @@ class Model {
                           std::span<const real_t> w_read,
                           std::span<real_t> w_write) const = 0;
 
-  /// Builds the tasks of one mini-batch step into `graph` (DESIGN.md §15)
-  /// instead of executing it: gradient chunks over a *fixed* example grid,
-  /// partial reductions merged in a fixed fan-in order, and one model
-  /// update task. Returns the update task's id — the dependency of the
-  /// next batch's gradient tasks, so consecutive batches overlap with no
-  /// barrier between them. `after` (kNoTask for the first batch) orders
-  /// this batch's reads of `w_read` after the previous update.
-  ///
-  /// Determinism contract: the decomposition depends only on (batch size,
-  /// dim) — never on pool size — and merges in a fixed order, so
-  /// trajectories are bit-identical across worker counts and run-to-run.
-  /// Small batches fall back to one task running the sequential
-  /// batch_step, bit-identical to it. The default builds that single task
-  /// for every batch; models with a profitable decomposition override it.
-  /// Spans captured by the tasks must stay valid until the graph runs.
-  virtual TaskGraph::TaskId batch_step_graph(
-      TaskGraph& graph, BatchGraphScratch& scratch, const TrainData& data,
-      std::size_t begin, std::size_t end, bool prefer_dense, real_t alpha,
-      std::span<const real_t> w_read, std::span<real_t> w_write,
-      TaskGraph::TaskId after) const;
-
   /// One full-batch gradient-descent epoch (Algorithm 2) expressed in
   /// linalg primitives on `backend`. Returns the loss evaluated *before*
   /// the update (free by-product of the gradient computation). `layout`
@@ -136,34 +95,6 @@ class Model {
   /// Approximate flops of one example_step (for async engine cost
   /// accounting; nnz-dependent terms use the supplied count).
   virtual double step_flops(std::size_t touched_features) const = 0;
-};
-
-/// The Hogbatch unit step shared by asyncsim's two epochs and clustersim
-/// (DESIGN.md §15): one batch_step_graph over examples [begin, end),
-/// drained before step() returns. Units run one at a time in the
-/// simulator's interleaved order — cross-unit order *is* the staleness
-/// semantics — so the graph replaces only the intra-unit barrier
-/// structure. The graph is built on the first step (epochs of one-example
-/// units never create one) and reused for every later unit; bit-identical
-/// across pool sizes by the batch_step_graph contract.
-class UnitStepGraph {
- public:
-  /// `pool` nullptr = the process-global pool; `telemetry` and `faults`
-  /// are optional and must outlive this object.
-  UnitStepGraph(ThreadPool* pool, telemetry::TelemetrySession* telemetry,
-                FaultInjector* faults)
-      : pool_(pool), telemetry_(telemetry), faults_(faults) {}
-
-  void step(const Model& model, const TrainData& data, std::size_t begin,
-            std::size_t end, bool prefer_dense, real_t alpha,
-            std::span<const real_t> w_read, std::span<real_t> w_write);
-
- private:
-  ThreadPool* pool_;
-  telemetry::TelemetrySession* telemetry_;
-  FaultInjector* faults_;
-  std::optional<TaskGraph> graph_;
-  BatchGraphScratch scratch_;
 };
 
 }  // namespace parsgd

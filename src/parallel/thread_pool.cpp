@@ -40,7 +40,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   spin_iters_ = std::thread::hardware_concurrency() > 1 ? 4096 : 0;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -97,7 +97,7 @@ void ThreadPool::drain_chunks() {
   }
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
     // Spin-then-park: briefly poll for a new generation before sleeping.
@@ -108,7 +108,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       }
       cpu_pause();
     }
-    JobKind kind;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (m_parks_ != nullptr &&
@@ -130,7 +129,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       // and a worker that wakes after the job already finished must not
       // touch dispatch state a future job is about to reset.
       if (!job_live_) continue;
-      kind = kind_;
       if (m_queue_wait_ != nullptr) {
         m_wakeups_->inc();
         m_queue_wait_->record(
@@ -138,16 +136,7 @@ void ThreadPool::worker_loop(std::size_t index) {
       }
       active_workers_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (kind == JobKind::kParallelFor) {
-      drain_chunks();
-    } else {
-      try {
-        (*all_fn_)(index);
-      } catch (...) {
-        record_error();
-      }
-      remaining_.fetch_sub(1, std::memory_order_acq_rel);
-    }
+    drain_chunks();
     // Deregister; the last participant out signals the publisher.
     if (active_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
         remaining_.load(std::memory_order_acquire) == 0) {
@@ -158,16 +147,13 @@ void ThreadPool::worker_loop(std::size_t index) {
 }
 
 void ThreadPool::publish_job(
-    JobKind kind, const std::function<void(std::size_t, std::size_t)>* pf,
-    const std::function<void(std::size_t)>* all, std::size_t n,
+    const std::function<void(std::size_t, std::size_t)>* fn, std::size_t n,
     std::size_t chunks) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     PARSGD_CHECK(!job_live_, "ThreadPool jobs are not reentrant");
     job_live_ = true;
-    kind_ = kind;
-    pf_fn_ = pf;
-    all_fn_ = all;
+    pf_fn_ = fn;
     job_n_ = n;
     job_chunks_ = chunks;
     first_error_ = nullptr;
@@ -178,9 +164,7 @@ void ThreadPool::publish_job(
       job_participants_.store(0, std::memory_order_relaxed);
     }
     next_chunk_.store(0, std::memory_order_relaxed);
-    remaining_.store(kind == JobKind::kParallelFor ? chunks
-                                                   : workers_.size(),
-                     std::memory_order_relaxed);
+    remaining_.store(chunks, std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
   }
   cv_.notify_all();
@@ -198,8 +182,7 @@ void ThreadPool::finish_job() {
     job_live_ = false;
     err = first_error_;
     first_error_ = nullptr;
-    if (m_imbalance_ != nullptr && kind_ == JobKind::kParallelFor &&
-        job_chunks_ > 0) {
+    if (m_imbalance_ != nullptr && job_chunks_ > 0) {
       // max chunks drained by one participant / fair share; 1.0 means a
       // perfectly even steal, large values mean one straggling lane did
       // most of the work.
@@ -225,27 +208,8 @@ void ThreadPool::parallel_for(
     fn(0, n);
     return;
   }
-  publish_job(JobKind::kParallelFor, &fn, nullptr, n, chunks);
+  publish_job(&fn, n, chunks);
   drain_chunks();  // the caller is a participant too
-  finish_job();
-}
-
-void ThreadPool::run_on_all(const std::function<void(std::size_t)>& fn) {
-  publish_job(JobKind::kRunOnAll, nullptr, &fn, 0, 0);
-  finish_job();
-}
-
-void ThreadPool::run_on_all_with_caller(
-    const std::function<void(std::size_t)>& fn) {
-  publish_job(JobKind::kRunOnAll, nullptr, &fn, 0, 0);
-  // The caller participates under worker index size(); its run does not
-  // touch the dispatch counters (remaining_ tracks workers only), so
-  // finish_job still waits for every worker to return.
-  try {
-    fn(workers_.size());
-  } catch (...) {
-    record_error();
-  }
   finish_job();
 }
 

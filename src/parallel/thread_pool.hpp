@@ -57,16 +57,6 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
-  /// Runs fn(worker_index) once on each of size() workers and blocks.
-  void run_on_all(const std::function<void(std::size_t)>& fn);
-
-  /// run_on_all with the calling thread enlisted too: fn runs on every
-  /// worker (indices [0, size())) and on the caller (index size()), so a
-  /// cooperative run — e.g. a TaskGraph drain — gets size() + 1
-  /// participants instead of leaving the caller blocked. Exceptions from
-  /// any participant propagate after all have returned (first one wins).
-  void run_on_all_with_caller(const std::function<void(std::size_t)>& fn);
-
   /// Installs (or clears, with nullptr) a hook invoked with the chunk
   /// index before every parallel_for chunk body — the fault-injection
   /// seam for straggling workers (DESIGN.md §11). Must not be called
@@ -90,13 +80,9 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  enum class JobKind { kParallelFor, kRunOnAll };
-
-  void worker_loop(std::size_t index);
+  void worker_loop();
   void drain_chunks();
-  void publish_job(JobKind kind,
-                   const std::function<void(std::size_t, std::size_t)>* pf,
-                   const std::function<void(std::size_t)>* all,
+  void publish_job(const std::function<void(std::size_t, std::size_t)>* fn,
                    std::size_t n, std::size_t chunks);
   void finish_job();
   void record_error() noexcept;
@@ -112,9 +98,7 @@ class ThreadPool {
   // job is live; read by workers only after they registered for the
   // job's generation under the same mutex. The pointed-to functions
   // outlive the job (the caller blocks in finish_job()).
-  JobKind kind_ = JobKind::kParallelFor;
   const std::function<void(std::size_t, std::size_t)>* pf_fn_ = nullptr;
-  const std::function<void(std::size_t)>* all_fn_ = nullptr;
   std::size_t job_n_ = 0;
   std::size_t job_chunks_ = 0;
   bool job_live_ = false;  ///< reentrancy guard (under mutex_)
@@ -141,7 +125,7 @@ class ThreadPool {
 
   // Hot dispatch state (no locks on the chunk path).
   std::atomic<std::size_t> next_chunk_{0};     ///< FIFO chunk ticket
-  std::atomic<std::size_t> remaining_{0};      ///< chunks (or workers) left
+  std::atomic<std::size_t> remaining_{0};      ///< chunks left
   std::atomic<std::size_t> active_workers_{0}; ///< workers inside the job
   std::atomic<std::uint64_t> generation_{0};   ///< bumped per job
   std::atomic<bool> stop_{false};

@@ -147,7 +147,7 @@ struct AttributionSlice {
   double m_stall_s = 0;       ///< modeled staleness-stall seconds
   double h_compute_s = 0;     ///< host compute residual
   double h_queue_s = 0;       ///< host pool queue-wait share
-  double h_ready_s = 0;       ///< host graph ready-wait share
+  double h_ready_s = 0;       ///< host ready-wait share; always 0
   double h_stall_s = 0;       ///< host injected-straggle stall
   double h_recovery_s = 0;    ///< host supervisor recovery/backoff
   double h_checkpoint_s = 0;  ///< host checkpoint I/O

@@ -1,9 +1,5 @@
 #include "sgd/async_engine.hpp"
 
-#include <optional>
-
-#include "parallel/thread_pool.hpp"
-
 namespace parsgd {
 
 namespace {
@@ -15,7 +11,6 @@ AsyncSimOptions to_sim_options(const AsyncCpuOptions& opts) {
   s.batch = opts.batch;
   s.delay_units = opts.delay_units;
   s.prefer_dense = opts.prefer_dense;
-  s.pool = opts.pool;
   return s;
 }
 
@@ -35,11 +30,6 @@ std::string AsyncCpuEngine::name() const {
 double AsyncCpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                  Rng& rng) {
   faults_.begin_epoch(w);
-  ThreadPool& epoch_pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  ChunkHookGuard straggle_guard(epoch_pool, faults_);
-  std::optional<PoolTelemetryGuard> tel_guard;
-  if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());
   const CostBreakdown cost =
       sim_.run_epoch(w, alpha, rng, faults_.active() ? &faults_ : nullptr,
                      telemetry_.get());

@@ -34,9 +34,6 @@ struct AsyncCpuOptions {
   double dispatch_us_par = 0;
   /// Forwarded to AsyncSimOptions::delay_units (0 = auto).
   std::size_t delay_units = 0;
-  /// Execution pool for Hogbatch unit steps (forwarded to the
-  /// simulator); nullptr = the process-global pool.
-  ThreadPool* pool = nullptr;
 };
 
 class AsyncCpuEngine final : public Engine {

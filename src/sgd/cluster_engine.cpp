@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/check.hpp"
 #include "parallel/thread_pool.hpp"
@@ -84,7 +83,6 @@ ClusterEngine::ClusterEngine(const Model& model, const TrainData& data,
     s.queue_depth = opts_.queue_depth;
     s.delay_override = opts_.delay_units;
     s.prefer_dense = opts_.use_dense;
-    s.pool = opts_.pool;
     sim_ = std::make_unique<ClusterSim>(model, data, s);
   } else {
     // The all-reduce trajectory IS the sync engine's (see header); the
@@ -139,11 +137,6 @@ double ClusterEngine::ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
       recover = true;
     }
   }
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  ChunkHookGuard straggle_guard(pool, faults_);
-  std::optional<PoolTelemetryGuard> tel_guard;
-  if (telemetry_ != nullptr) tel_guard.emplace(pool, telemetry_.get());
   const CostBreakdown cost = sim_->run_epoch(
       w, alpha, rng, faults_.active() ? &faults_ : nullptr,
       telemetry_.get(), down, recover);

@@ -87,6 +87,11 @@ class ClusterEngine final : public Engine {
   EpochSplit last_epoch_split() const override { return last_split_; }
   std::vector<telemetry::NodeStatus> last_node_status() const override;
 
+  /// The inner sync engine's pool (all-reduce); PS mode runs none.
+  ThreadPool* pool() const override {
+    return sync_ != nullptr ? sync_->pool() : nullptr;
+  }
+
  private:
   double ps_epoch(std::span<real_t> w, real_t alpha, Rng& rng);
   double allreduce_epoch(std::span<real_t> w, real_t alpha, Rng& rng);

@@ -151,17 +151,17 @@ RunResult run_training(Engine& engine, const Model& model,
   if (opts.record_ms > 0) {
     recorder = std::make_unique<telemetry::FlightRecorder>(opts.record_ms);
   }
+  // The queue-wait histogram sums *per-worker* waits that overlap in wall
+  // time; the per-epoch delta is divided by the worker count of the
+  // engine's pool to approximate the serial (critical-path) share.
   telemetry::Histogram* h_queue = nullptr;
-  telemetry::Histogram* h_ready = nullptr;
+  double workers = 1;
   if (ledger_on && tel != nullptr && tel->metrics_enabled()) {
     h_queue = &tel->metrics().histogram("pool.queue_wait_ns");
-    h_ready = &tel->metrics().histogram("graph.ready_wait_ns");
+    if (const ThreadPool* pool = engine.pool(); pool != nullptr) {
+      workers = static_cast<double>(std::max<std::size_t>(pool->size(), 1));
+    }
   }
-  // Wait histograms sum *per-worker* waits that overlap in wall time; the
-  // per-epoch delta is divided by the worker count to approximate the
-  // serial (critical-path) share.
-  const double workers = static_cast<double>(
-      std::max<std::size_t>(ThreadPool::global().size(), 1));
   double pending_recovery_s = 0;    // rollback/backoff time -> next epoch
   double pending_checkpoint_s = 0;  // checkpoint I/O -> next epoch
   bool status_warned = false;
@@ -236,10 +236,9 @@ RunResult run_training(Engine& engine, const Model& model,
         alpha_scale);
     double secs, loss;
     double host_s = 0;
-    double q0 = 0, r0 = 0, strag0 = 0;
+    double q0 = 0, strag0 = 0;
     if (ledger_on) {
       if (h_queue != nullptr) q0 = h_queue->sum();
-      if (h_ready != nullptr) r0 = h_ready->sum();
       strag0 = engine.fault_injector().applied_straggle_us();
     }
     {
@@ -332,9 +331,6 @@ RunResult run_training(Engine& engine, const Model& model,
       pending_checkpoint_s = 0;
       if (h_queue != nullptr) {
         ea.h_queue_s = (h_queue->sum() - q0) * 1e-9 / workers;
-      }
-      if (h_ready != nullptr) {
-        ea.h_ready_s = (h_ready->sum() - r0) * 1e-9 / workers;
       }
       ea.h_stall_s =
           (engine.fault_injector().applied_straggle_us() - strag0) * 1e-6;

@@ -28,6 +28,8 @@ namespace gpusim {
 class Device;
 }
 
+class ThreadPool;
+
 struct TrainCheckpoint;
 
 enum class Arch { kCpuSeq, kCpuPar, kGpu, kCluster };
@@ -100,6 +102,11 @@ class Engine {
   /// The simulated GPU this engine runs on, or null for CPU engines.
   /// Reports harvest the per-kernel stats breakdown through this.
   virtual const gpusim::Device* device() const { return nullptr; }
+
+  /// The thread pool this engine's CPU primitives run on, or null when it
+  /// runs none. run_training divides the pool's summed queue waits by its
+  /// worker count.
+  virtual ThreadPool* pool() const { return nullptr; }
 
   /// Attaches/detaches (null) the run's training supervisor (DESIGN.md
   /// §16). run_training does this for the duration of one run; engines

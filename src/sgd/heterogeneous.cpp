@@ -1,7 +1,6 @@
 #include "sgd/heterogeneous.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "linalg/cpu_backend.hpp"
 #include "parallel/thread_pool.hpp"
@@ -57,6 +56,10 @@ void HeterogeneousEngine::instrument(std::span<const real_t> w_sample) {
   cost_paper_ += cpu_engine_.last_cost();
 }
 
+ThreadPool* HeterogeneousEngine::pool() const {
+  return opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
+}
+
 double HeterogeneousEngine::epoch_seconds(std::span<const real_t> w_sample) {
   if (!epoch_seconds_) instrument(w_sample);
   return *epoch_seconds_;
@@ -93,17 +96,9 @@ double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
     // Mini-batch schedule: same trajectory as the sync engine's minibatch
     // path (the split only changes where gradient work executes), run
     // through the shared step-path runner (DESIGN.md §15).
-    ThreadPool& epoch_pool =
-        opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-    std::optional<PoolTelemetryGuard> tel_guard;
-    if (telemetry_ != nullptr) {
-      tel_guard.emplace(epoch_pool, telemetry_.get());
-    }
     MinibatchEpochOptions mo;
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
-    mo.pool = opts_.pool;
-    mo.supervisor = supervisor_;
     run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
                         telemetry_.get(), mo);
   }

@@ -67,6 +67,8 @@ class HeterogeneousEngine final : public Engine {
   void set_telemetry(
       std::shared_ptr<telemetry::TelemetrySession> s) override;
 
+  ThreadPool* pool() const override;
+
   /// The GPU share in effect (the auto-chosen one after first use).
   double gpu_fraction() const { return phi_; }
   /// Single-device epoch times the split was derived from.

@@ -402,7 +402,6 @@ std::unique_ptr<Engine> make_async_cpu(const EngineSpec& spec,
   o.batch = std::max<std::size_t>(spec.batch, 1);
   o.prefer_dense = spec.layout == Layout::kDense;
   o.delay_units = spec.delay_units;
-  o.pool = ctx.pool;
   if (spec.calibration == Calibration::kMlp) {
     // ViennaCL-driver dispatch calibration for Hogbatch MLP
     // (EXPERIMENTS.md; paper Table III). Hogbatch propagates updates
@@ -533,10 +532,10 @@ std::unique_ptr<Engine> make_engine(const EngineSpec& spec,
   }
   std::unique_ptr<Engine> engine = it->second.factory(spec, ctx);
   // Central fault installation keeps factories and Options structs fault
-  // agnostic; the spec's plan wins over the context default. The xor
-  // decorrelates fault draws from every training stream.
-  const FaultPlan& plan = spec.faults.any() ? spec.faults : ctx.faults;
-  if (plan.any()) engine->install_faults(plan, ctx.seed ^ 0xFA175EEDULL);
+  // agnostic. The xor decorrelates fault draws from every training stream.
+  if (spec.faults.any()) {
+    engine->install_faults(spec.faults, ctx.seed ^ 0xFA175EEDULL);
+  }
   // Telemetry after faults so the injector also reports into the session.
   // A shared context session wins (one registry for a whole Study); a
   // telemetry= spec key on a bare context gets a standalone session.

@@ -80,8 +80,8 @@ struct EngineSpec {
   /// form e.g. link=10us:10gbps). Ignored elsewhere.
   LinkSpec link;
   /// Injected faults (faults=/straggler=/drop=/poison= spec keys,
-  /// DESIGN.md §11). Empty by default; overrides EngineContext::faults
-  /// when non-empty.
+  /// DESIGN.md §11): the only fault plan make_engine installs. Empty by
+  /// default.
   FaultPlan faults;
   /// Flight-recorder sampling cadence in milliseconds (record=off|N ms
   /// spec key, DESIGN.md §18). 0 (off, the default) means run_training
@@ -135,13 +135,10 @@ struct EngineContext {
   /// Default logical thread count for parallel-CPU configurations
   /// (the paper machine's 56); EngineSpec::threads overrides per spec.
   int cpu_threads = 56;
-  /// Execution pool injected into every CPU consumer (linalg backends,
-  /// mini-batch step graphs). nullptr = the process-global pool.
+  /// Execution pool injected into every CPU linalg backend. nullptr =
+  /// the process-global pool.
   ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
-  /// Default fault plan installed into every engine made from this context
-  /// (EngineSpec::faults, when non-empty, wins). Empty = no injection.
-  FaultPlan faults;
   /// Shared telemetry session installed into every engine made from this
   /// context (so a Study's engines all report into one registry). When
   /// null, EngineSpec::telemetry != off makes make_engine create a

@@ -5,9 +5,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "parallel/task_graph.hpp"
-#include "parallel/thread_pool.hpp"
-#include "sgd/supervisor.hpp"
 
 namespace parsgd {
 
@@ -28,67 +25,18 @@ void run_minibatch_epoch(const Model& model, const TrainData& data,
       telemetry != nullptr && telemetry->metrics_enabled()
           ? &telemetry->metrics().counter("sync.updates")
           : nullptr;
-  const DegradeLevel level =
-      opts.supervisor != nullptr && opts.supervisor->active()
-          ? opts.supervisor->level()
-          : DegradeLevel::kNone;
-
-  if (level >= DegradeLevel::kSequential) {
-    // Sequential rung (DESIGN.md §16): plain batch_step loop, no graph on
-    // the step path, same injector draw order.
-    for (const std::uint32_t b : order) {
-      if (faults.drop_update()) {
-        faults.after_update(w);
-        continue;
-      }
-      const std::size_t begin =
-          static_cast<std::size_t>(b) * opts.minibatch;
-      const std::size_t end = std::min(n, begin + opts.minibatch);
-      model.batch_step(data, begin, end, opts.use_dense, alpha, w, w);
-      faults.after_update(w);
-      if (c_updates != nullptr) c_updates->inc();
-    }
-    return;
-  }
-
-  // Build the whole epoch as one dependency graph, then drain it once.
-  // Drop decisions are drawn at build time in batch order — the same
-  // injector-RNG sequence as the sequential loop (drop_update is the only
-  // injector RNG consumer here; after_update draws nothing).
-  TaskGraph graph(opts.pool != nullptr ? *opts.pool : ThreadPool::global(),
-                  telemetry);
-  set_straggler_hook(graph, &faults);
-  BatchGraphScratch scratch;
-  FaultInjector* f = &faults;
-  // Chain after-update bookkeeping only when someone observes it; with
-  // faults inactive and no telemetry the update task itself is the link.
-  const bool chain_after = faults.active() || c_updates != nullptr;
-  TaskGraph::TaskId prev = TaskGraph::kNoTask;
   for (const std::uint32_t b : order) {
+    faults.before_step();
     if (faults.drop_update()) {
-      // Dropped batch: no gradient work, but the step clock still
-      // advances in batch order.
-      prev = graph.add([f, w] { f->after_update(w); }, {prev},
-                       "fault_after");
+      faults.after_update(w);
       continue;
     }
     const std::size_t begin = static_cast<std::size_t>(b) * opts.minibatch;
     const std::size_t end = std::min(n, begin + opts.minibatch);
-    const TaskGraph::TaskId update = model.batch_step_graph(
-        graph, scratch, data, begin, end, opts.use_dense, alpha, w, w,
-        prev);
-    if (chain_after) {
-      prev = graph.add(
-          [f, w, c_updates] {
-            f->after_update(w);
-            if (c_updates != nullptr) c_updates->inc();
-          },
-          {update}, "after_update");
-    } else {
-      prev = update;
-    }
+    model.batch_step(data, begin, end, opts.use_dense, alpha, w, w);
+    faults.after_update(w);
+    if (c_updates != nullptr) c_updates->inc();
   }
-  graph.run();
 }
 
 }  // namespace parsgd

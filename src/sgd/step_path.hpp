@@ -1,26 +1,18 @@
 // The shared synchronized-mini-batch epoch runner (DESIGN.md §15): one
 // implementation of "shuffled batches, one model update per batch", run
-// as one TaskGraph per epoch — gradient chunks, fixed-order partial
-// reductions and the model update of each batch as dependent tasks, the
-// update of batch k being the only dependency of batch k+1's chunks. No
-// per-batch barrier; independent work from consecutive batches overlaps.
-// Trajectories are bit-identical across worker counts (fixed
-// decomposition grid) and run-to-run. Below the decomposition floor every
-// batch is one sequential batch_step task, bit-identical to the plain
-// batch_step loop the supervisor's sequential rung (DESIGN.md §16) runs;
-// above it the summation grouping differs, so the two rungs may differ in
-// the last bits.
+// as a sequential loop of Model::batch_step calls. Batch k+1 reads the
+// model batch k wrote, so the chain has no parallel slack between
+// batches; the loop is deterministic run-to-run and independent of any
+// thread pool.
 //
-// Fault-injection semantics: dropped updates draw from the injector RNG
-// once per batch in shuffled batch order (at graph build time — the
-// injector RNG sequence is the same on the sequential rung because
-// drop_update is its only consumer here), straggler delays are
-// execution-only (graph task hook), and after_update runs once per batch
-// in batch order.
+// Fault-injection semantics, per batch in shuffled batch order:
+// FaultInjector::before_step (execution-only straggler delay), then
+// drop_update (the injector RNG's only consumer here), then batch_step
+// unless dropped, then after_update.
 //
 // SyncEngine and HeterogeneousEngine both run their minibatch epochs
-// through this; the asynchronous simulators' one-unit-at-a-time steps go
-// through UnitStepGraph (models/model.hpp).
+// through this; the asynchronous simulators' Hogbatch units call
+// batch_step directly, one unit at a time in their interleaved order.
 #pragma once
 
 #include <cstddef>
@@ -33,19 +25,9 @@
 
 namespace parsgd {
 
-class ThreadPool;
-class TrainingSupervisor;
-
 struct MinibatchEpochOptions {
   std::size_t minibatch = 0;  ///< examples per update (must be > 0)
   bool use_dense = false;
-  /// Execution pool; nullptr = the process-global pool.
-  ThreadPool* pool = nullptr;
-  /// The run's supervisor (null outside run_training / resilience=off).
-  /// Its degradation ladder (DESIGN.md §16) can demote this epoch to the
-  /// plain-sequential batch_step loop; both rungs follow the same batch
-  /// order and injector draw sequence.
-  const TrainingSupervisor* supervisor = nullptr;
 };
 
 /// Runs one synchronized mini-batch epoch in place on `w`: every example

@@ -48,7 +48,6 @@ std::optional<ResilienceMode> parse_resilience_mode(const std::string& text) {
 const char* to_string(DegradeLevel level) {
   switch (level) {
     case DegradeLevel::kNone: return "none";
-    case DegradeLevel::kSequential: return "sequential";
     case DegradeLevel::kScalar: return "scalar";
   }
   return "?";
@@ -151,10 +150,7 @@ double TrainingSupervisor::on_epoch_failed(bool numeric, std::size_t epoch) {
                     {{"epoch", static_cast<double>(epoch)},
                      {"numeric", numeric ? 1.0 : 0.0}});
   }
-  if (active() && level() < DegradeLevel::kScalar) {
-    set_level(static_cast<DegradeLevel>(static_cast<int>(level()) + 1),
-              /*promote=*/false, epoch);
-  }
+  if (active()) set_level(DegradeLevel::kScalar, /*promote=*/false, epoch);
   if (!numeric) return 1.0;  // execution-time failure: the math was fine
   ++consecutive_numeric_;
   double mult = 1.0;
@@ -175,8 +171,7 @@ void TrainingSupervisor::on_epoch_clean() {
   }
   if (++clean_streak_ >= opts_.promote_after) {
     clean_streak_ = 0;
-    set_level(static_cast<DegradeLevel>(static_cast<int>(level()) - 1),
-              /*promote=*/true, 0);
+    set_level(DegradeLevel::kNone, /*promote=*/true, 0);
   }
 }
 

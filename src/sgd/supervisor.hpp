@@ -8,11 +8,11 @@
 //     of a deterministic backup task (which wins the fixed arbitration
 //     race by construction — both compute the same chunk, so only wall
 //     time moves). The seam is faults::StraggleGate, reached through the
-//     existing ChunkHookGuard / set_task_hook hooks.
-//  2. Graceful degradation ladder: repeated epoch failures step execution
-//     down graph → sequential, then SIMD → scalar dispatch;
-//     K clean epochs re-promote one rung. Every transition is logged,
-//     counted and traced.
+//     pool's ChunkHookGuard and the step loops' FaultInjector::before_step.
+//  2. Graceful degradation ladder: an epoch failure steps the CPU
+//     backends' SIMD dispatch down to the scalar reference; K clean
+//     epochs re-promote it. Every transition is logged, counted and
+//     traced.
 //  3. Retry with seeded exponential backoff and a bounded recovery
 //     budget (replacing §11's fixed alpha×0.1), plus gradient
 //     sanitization that quarantines poisoned (NaN-producing) examples at
@@ -28,8 +28,8 @@
 // Everything the supervisor does to *time* (deadlines, backup wins) is
 // wall-clock only; everything it does to the *trajectory* (rollback,
 // alpha backoff, ladder rungs) is deterministic — rungs only move between
-// epochs and every rung is bit-identical under det=on by the §14/§15
-// contracts.
+// epochs and both rungs are bit-identical under det=on by the §14
+// contract.
 #pragma once
 
 #include <atomic>
@@ -50,12 +50,10 @@ enum class ResilienceMode : std::uint8_t { kOff = 0, kFull = 1 };
 const char* to_string(ResilienceMode mode);
 std::optional<ResilienceMode> parse_resilience_mode(const std::string& text);
 
-/// Degradation-ladder rungs, ordered from fastest to safest. Each rung
-/// includes the ones above it: kScalar also implies sequential stepping.
+/// Degradation-ladder rungs, ordered from fastest to safest.
 enum class DegradeLevel : std::uint8_t {
-  kNone = 0,        ///< full speed: task graph + SIMD as configured
-  kSequential = 1,  ///< task graph off the step path, plain batch_step
-  kScalar = 2,      ///< SIMD dispatch pinned to the scalar reference
+  kNone = 0,    ///< full speed: SIMD dispatch as configured
+  kScalar = 1,  ///< SIMD dispatch pinned to the scalar reference
 };
 
 const char* to_string(DegradeLevel level);
@@ -116,7 +114,7 @@ struct ResilienceStats {
 
 /// One per run_training call, attached to the engine (and, as a
 /// StraggleGate, to its fault injector) for the duration of the run.
-/// Thread-safety: the gate methods and level() are called from pool
+/// Thread-safety: the gate methods and level() may be called from pool
 /// workers; everything else runs on the driving thread between epochs.
 class TrainingSupervisor final : public StraggleGate {
  public:

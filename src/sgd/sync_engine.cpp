@@ -103,6 +103,10 @@ void SyncEngine::instrument(std::span<const real_t> w_sample) {
   }
 }
 
+ThreadPool* SyncEngine::pool() const {
+  return opts_.pool != nullptr ? opts_.pool : &ThreadPool::global();
+}
+
 double SyncEngine::epoch_seconds(std::span<const real_t> w_sample) {
   if (!epoch_seconds_) instrument(w_sample);
   return *epoch_seconds_;
@@ -152,13 +156,10 @@ double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
     }
   } else {
     // Synchronized mini-batch updates, shuffled batch order per epoch,
-    // through the shared step-path runner (DESIGN.md §15): a dataflow
-    // task graph with no per-batch barrier.
+    // through the shared step-path runner (DESIGN.md §15).
     MinibatchEpochOptions mo;
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
-    mo.pool = opts_.pool;
-    mo.supervisor = supervisor_;
     run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
                         telemetry_.get(), mo);
   }

@@ -76,9 +76,9 @@ struct SyncEngineOptions {
   /// SGD: its sync-MLP epoch counts equal the async cpu-seq (mini-batch)
   /// counts on 4 of 5 datasets, so the sync MLP engine updates per batch.
   std::size_t minibatch = 0;
-  /// Execution pool for the trajectory backend and mini-batch steps;
-  /// nullptr = the process-global pool. Execution-only: results are
-  /// bit-identical for every pool (deterministic reduction grids).
+  /// Execution pool for the CPU backends; nullptr = the process-global
+  /// pool. Execution-only: results are bit-identical for every pool
+  /// (deterministic reduction grids).
   ThreadPool* pool = nullptr;
   /// Pin the CPU backend's order-sensitive reductions to the scalar
   /// reference order (CpuBackendOptions::deterministic; spec key `det=`).
@@ -106,6 +106,7 @@ class SyncEngine final : public Engine {
       std::shared_ptr<telemetry::TelemetrySession> s) override;
 
   const gpusim::Device* device() const override { return device_.get(); }
+  ThreadPool* pool() const override;
 
  private:
   void instrument(std::span<const real_t> w_sample);

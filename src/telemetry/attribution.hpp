@@ -12,10 +12,12 @@
 //  * the host split over the measured wall seconds of the epoch
 //        host_s == h_compute_s + h_queue_s + h_ready_s + h_stall_s
 //                  + h_recovery_s + h_checkpoint_s
-//    (pool queue-wait and graph ready-wait from the telemetry histogram
-//    deltas, straggle stall from the fault injector's applied-delay
-//    accumulator, recovery and checkpoint I/O timed around their blocks
-//    in run_training; compute is the residual).
+//    (pool queue-wait from the telemetry histogram delta; ready-wait is
+//    always 0 — nothing schedules the step loop — and stays only for the
+//    checkpoint frame and status-file layouts; straggle stall from the
+//    fault injector's applied-delay accumulator, recovery and checkpoint
+//    I/O timed around their blocks in run_training; compute is the
+//    residual).
 //
 // AttributionLedger::add() clamps and renormalizes the measured buckets so
 // both identities hold exactly — "buckets sum to epoch time within 1%" is
@@ -55,7 +57,7 @@ struct EpochAttribution {
   double host_s = 0;         ///< measured wall seconds
   double h_compute_s = 0;    ///< residual: host_s - all measured waits
   double h_queue_s = 0;      ///< pool queue-wait (per-worker share)
-  double h_ready_s = 0;      ///< task-graph ready-wait (per-worker share)
+  double h_ready_s = 0;      ///< ready-wait; always 0 (layout slot)
   double h_stall_s = 0;      ///< injected straggle actually applied
   double h_recovery_s = 0;   ///< supervisor rollback/backoff before epoch
   double h_checkpoint_s = 0; ///< checkpoint write after the epoch

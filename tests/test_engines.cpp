@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <iterator>
 
 #include "data/generator.hpp"
 #include "data/mlp_view.hpp"
 #include "models/linear.hpp"
 #include "models/mlp.hpp"
+#include "parallel/thread_pool.hpp"
 #include "sgd/async_engine.hpp"
 #include "sgd/convergence.hpp"
 #include "sgd/stepsize.hpp"
@@ -268,6 +272,34 @@ TEST(RunTraining, PlateauStopsEarly) {
   t.plateau_rtol = 0.5;  // aggressive: stop as soon as gains halve
   const RunResult r = run_training(e, f.lr, f.data, f.w0, real_t(1e-6), t);
   EXPECT_LT(r.epochs(), 100u);
+}
+
+TEST(RunTraining, InjectedPoolRunNeverBuildsTheGlobalPool) {
+  // With the attribution ledger off, run_training has no use for a pool
+  // size; a run on an injected one-worker pool must leave the process at
+  // two threads (main + that worker), with no process-global pool. The
+  // threadsafe style re-executes the binary for the child, so no earlier
+  // test's threads are counted.
+  const std::string style = testing::GTEST_FLAG(death_test_style);
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Fixture f("w8a");
+        ThreadPool pool(1);
+        SyncEngineOptions opts;
+        opts.arch = Arch::kCpuPar;
+        opts.pool = &pool;
+        SyncEngine e(f.lr, f.data, f.scale, opts);
+        TrainOptions t;
+        t.max_epochs = 2;
+        run_training(e, f.lr, f.data, f.w0, real_t(0.5), t);
+        const auto threads = std::distance(
+            std::filesystem::directory_iterator("/proc/self/task"),
+            std::filesystem::directory_iterator{});
+        std::exit(static_cast<int>(threads));
+      },
+      testing::ExitedWithCode(2), "");
+  testing::GTEST_FLAG(death_test_style) = style;
 }
 
 }  // namespace

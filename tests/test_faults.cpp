@@ -143,18 +143,11 @@ TEST(FaultSpec, RejectsMalformedPlans) {
   }
 }
 
-TEST(FaultSpec, ContextPlanInstalledAndSpecWins) {
+TEST(FaultSpec, SpecPlanInstalled) {
   Fixture f;
-  FaultPlan from_ctx;
-  from_ctx.drop_prob = 0.25;
-  f.ctx.faults = from_ctx;
-  const std::unique_ptr<Engine> inherited =
-      make_engine(parse_spec("async/cpu-seq/sparse"), f.ctx);
-  EXPECT_EQ(inherited->fault_injector().plan(), from_ctx);
-  // A non-empty spec plan overrides the context plan entirely.
-  const std::unique_ptr<Engine> overridden =
+  const std::unique_ptr<Engine> engine =
       make_engine(parse_spec("async/cpu-seq/sparse:drop=0.5"), f.ctx);
-  EXPECT_DOUBLE_EQ(overridden->fault_injector().plan().drop_prob, 0.5);
+  EXPECT_DOUBLE_EQ(engine->fault_injector().plan().drop_prob, 0.5);
 }
 
 // -------------------------------------------------------------- injection
@@ -214,22 +207,71 @@ TEST(FaultInjection, StragglerAddsStalenessInDelayedGradientMode) {
   EXPECT_NE(straggled.losses, base.losses);
 }
 
-TEST(FaultInjection, SyncStragglerIsExecutionOnly) {
-  // Straggling thread-pool chunks delay execution but must not change the
-  // deterministic pooled reductions: same losses, counters moved. An
-  // explicit multi-worker pool and a >=256 batch force the pooled path
-  // even on a single-core host.
+/// Test seam on the injector's straggle gate: counts the step delays the
+/// plan asks for and applies them in full, or not at all.
+class CountingGate final : public StraggleGate {
+ public:
+  explicit CountingGate(bool apply) : apply_(apply) {}
+  void observe_chunk_us(double) override {}
+  double gate_straggle_us(double planned_us) override {
+    ++delays;
+    return apply_ ? planned_us : 0.0;
+  }
+  std::size_t delays = 0;
+
+ private:
+  bool apply_;
+};
+
+TEST(FaultInjection, StragglerDelayIsExecutionOnlyOnEveryStepLoop) {
+  // The straggler delay before each mini-batch step — the sync loop, the
+  // Hogbatch units and the PS units — moves wall time only: a run that
+  // sleeps through every planned delay and one whose gate drops them all
+  // have the same losses and modeled seconds. The decision is keyed by
+  // the run-global step count, so some steps straggle and some do not.
+  // (The async heads' straggler plan also stretches snapshot staleness,
+  // a trajectory effect by design; both runs share it.)
   Fixture f("w8a", 100.0);
-  ThreadPool pool(4);
+  ThreadPool pool(2);
   f.ctx.pool = &pool;
+  constexpr std::size_t kEpochs = 3;
+  for (const char* spec : {
+           "sync/cpu-par/sparse:batch=256,straggler=0.5",
+           "async/cpu-par/sparse:batch=64,straggler=0.5",
+           "async/cluster/sparse:nodes=4,batch=64,straggler=0.5",
+       }) {
+    const EngineSpec parsed = parse_spec(spec);
+    const auto run = [&](CountingGate& gate, FaultCounters& c) {
+      const std::unique_ptr<Engine> engine = make_engine(parsed, f.ctx);
+      engine->fault_injector().set_straggle_gate(&gate);
+      const RunResult r = run_training(*engine, f.lr, f.ctx.data, f.w0,
+                                       real_t(0.5), epochs(kEpochs));
+      c = engine->fault_injector().counters();
+      return r;
+    };
+    CountingGate slept(true), skipped(false);
+    FaultCounters c_slept, c_skipped;
+    const RunResult a = run(slept, c_slept);
+    const RunResult b = run(skipped, c_skipped);
+    EXPECT_EQ(a.losses, b.losses) << spec;
+    EXPECT_EQ(a.epoch_seconds, b.epoch_seconds) << spec;
+    EXPECT_EQ(c_slept.stragglers, c_skipped.stragglers) << spec;
+    EXPECT_EQ(slept.delays, skipped.delays) << spec;
+    const std::size_t steps =
+        kEpochs * ((f.ds.n() + parsed.batch - 1) / parsed.batch);
+    EXPECT_GT(slept.delays, 0u) << spec;
+    EXPECT_LT(slept.delays, steps) << spec;
+    EXPECT_GE(c_slept.stragglers, slept.delays) << spec;
+  }
+  // The sync loop has no staleness semantics: its trajectory matches the
+  // straggler-free run outright.
   FaultCounters c;
-  const RunResult base =
-      f.run("sync/cpu-par/sparse:batch=256", real_t(0.5), epochs(3));
-  const RunResult straggled = f.run(
-      "sync/cpu-par/sparse:batch=256,straggler=1", real_t(0.5), epochs(3),
-      &c);
-  EXPECT_EQ(straggled.losses, base.losses);
-  EXPECT_EQ(straggled.epoch_seconds, base.epoch_seconds);
+  EXPECT_EQ(f.run("sync/cpu-par/sparse:batch=256,straggler=0.5",
+                  real_t(0.5), epochs(kEpochs), &c)
+                .losses,
+            f.run("sync/cpu-par/sparse:batch=256", real_t(0.5),
+                  epochs(kEpochs))
+                .losses);
   EXPECT_GT(c.stragglers, 0u);
 }
 
@@ -415,16 +457,16 @@ TEST(Checkpoint, CrashAndResumeBitIdenticalAsyncCpu) {
       "async/cpu-par/sparse:faults=crash@6", "async.bin");
 }
 
-TEST(Checkpoint, CrashAndResumeBitIdenticalSyncGraph) {
-  // The task-graph step path must round-trip through a crash + resume:
-  // drop/step RNG draws happen at build time in batch order, so the
-  // checkpointed RNG state replays the same epoch graph.
+TEST(Checkpoint, CrashAndResumeBitIdenticalSyncInjectedPool) {
+  // The parallel-CPU mini-batch loop on an injected pool round-trips
+  // through a crash + resume: the checkpointed RNG state replays the same
+  // shuffled batch order.
   Fixture f;
   ThreadPool pool(4);
   f.ctx.pool = &pool;
   expect_crash_resume_bit_identical(
       f, "sync/cpu-par/sparse:batch=32",
-      "sync/cpu-par/sparse:batch=32,faults=crash@6", "graph.bin");
+      "sync/cpu-par/sparse:batch=32,faults=crash@6", "pooled.bin");
 }
 
 // ----------------------------------------------- divergence bookkeeping

@@ -13,7 +13,7 @@
 //   * repeated numeric failures walk the degradation ladder down to the
 //     scalar rung and exhaust the bounded recovery budget,
 //   * time-cadence auto-checkpoints crash-resume bit-identically on the
-//     task-graph step path.
+//     mini-batch step loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -208,35 +208,33 @@ TEST(SupervisorLadder, DegradesPerFailureAndPromotesAfterCleanStreak) {
   TrainingSupervisor sup(o, nullptr);
   EXPECT_EQ(sup.level(), DegradeLevel::kNone);
   sup.on_epoch_failed(true, 0);
-  EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
-  sup.on_epoch_failed(true, 0);
   EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
   sup.on_epoch_failed(true, 0);  // the ladder has a bottom rung
   EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  EXPECT_EQ(sup.stats().ladder_down, 2u);
+  EXPECT_EQ(sup.stats().ladder_down, 1u);
 
-  // Each promote_after-long clean streak buys one rung back.
+  // A promote_after-long clean streak buys the rung back.
   sup.on_epoch_clean();
   sup.on_epoch_clean();
   EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
   sup.on_epoch_clean();
-  EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
+  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
   for (int i = 0; i < 3; ++i) sup.on_epoch_clean();
   EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  EXPECT_EQ(sup.stats().ladder_up, 2u);
+  EXPECT_EQ(sup.stats().ladder_up, 1u);
   // A failure after re-promotion degrades again from the top.
   sup.on_epoch_failed(true, 9);
-  EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
-  EXPECT_EQ(sup.stats().ladder_down, 3u);
+  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
+  EXPECT_EQ(sup.stats().ladder_down, 2u);
 }
 
 TEST(SupervisorLadder, ForceLevelIsUncountedOverride) {
   TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kFull),
                          nullptr);
-  sup.force_level(DegradeLevel::kSequential);
-  EXPECT_EQ(sup.level(), DegradeLevel::kSequential);
+  sup.force_level(DegradeLevel::kScalar);
+  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
   EXPECT_EQ(sup.stats().ladder_down, 0u);
-  EXPECT_EQ(sup.stats().final_level, DegradeLevel::kSequential);
+  EXPECT_EQ(sup.stats().final_level, DegradeLevel::kScalar);
 }
 
 // ------------------------------------------------------------ integration
@@ -345,15 +343,15 @@ TEST(SupervisorTraining, NumericFailuresWalkLadderAndExhaustBudget) {
       supervisor_options_for(ResilienceMode::kFull).recovery_budget;
   EXPECT_EQ(r.recoveries.size(), budget);
   EXPECT_EQ(r.resilience.recoveries, budget);
-  EXPECT_EQ(r.resilience.ladder_down, 2u);
+  EXPECT_EQ(r.resilience.ladder_down, 1u);
   EXPECT_EQ(r.resilience.ladder_up, 0u);
   EXPECT_EQ(r.resilience.final_level, DegradeLevel::kScalar);
   EXPECT_LT(r.alpha_scale, 1.0);
 }
 
-TEST(SupervisorTraining, TimedAutoCheckpointCrashResumesOnGraphPath) {
-  // The ISSUE acceptance cycle: crash@E + auto-checkpoint + resume on the
-  // task-graph step path reproduces the uninterrupted trajectory exactly.
+TEST(SupervisorTraining, TimedAutoCheckpointCrashResumesOnMiniBatchPath) {
+  // crash@E + auto-checkpoint + resume on the mini-batch step loop
+  // reproduces the uninterrupted trajectory exactly.
   Fixture f;
   ThreadPool pool(4);
   f.ctx.pool = &pool;

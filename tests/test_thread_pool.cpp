@@ -69,13 +69,6 @@ TEST(ThreadPool, ExceptionsPropagate) {
   EXPECT_EQ(ok.load(), 10);
 }
 
-TEST(ThreadPool, RunOnAllVisitsEveryWorker) {
-  ThreadPool pool(5);
-  std::vector<std::atomic<int>> visits(5);
-  pool.run_on_all([&](std::size_t i) { visits[i].fetch_add(1); });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-}
-
 TEST(ThreadPool, SizeReflectsConstruction) {
   ThreadPool pool(6);
   EXPECT_EQ(pool.size(), 6u);
@@ -124,11 +117,15 @@ TEST(ThreadPool, ExceptionFromMiddleChunk) {
   EXPECT_EQ(ok.load(), static_cast<int>(n));
 }
 
-TEST(ThreadPool, InterleavedRunOnAllAndParallelFor) {
+TEST(ThreadPool, InterleavedSmallAndLargeParallelFor) {
+  // Alternate a one-element-per-chunk job with an oversubscribed one: the
+  // dispatch state each job resets must not leak into the next.
   ThreadPool pool(3);
   for (int round = 0; round < 10; ++round) {
     std::vector<std::atomic<int>> visits(3);
-    pool.run_on_all([&](std::size_t i) { visits[i].fetch_add(1); });
+    pool.parallel_for(3, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) visits[i].fetch_add(1);
+    });
     for (const auto& v : visits) ASSERT_EQ(v.load(), 1);
     std::atomic<long> sum{0};
     pool.parallel_for(1000, [&](std::size_t lo, std::size_t hi) {
@@ -166,7 +163,7 @@ TEST(ThreadPool, ShutdownImmediatelyAfterJobs) {
     pool.parallel_for(256, [&](std::size_t lo, std::size_t hi) {
       sum.fetch_add(static_cast<int>(hi - lo));
     });
-    pool.run_on_all([](std::size_t) {});
+    pool.parallel_for(pool.size(), [](std::size_t, std::size_t) {});
     ASSERT_EQ(sum.load(), 256);
   }  // ~ThreadPool while workers may not have parked yet
 }
@@ -189,35 +186,6 @@ TEST(ThreadPool, ResubmissionAfterEscapedExceptionStress) {
     });
     ASSERT_EQ(ok.load(), 64);
   }
-}
-
-TEST(ThreadPool, RunOnAllWithCallerVisitsEveryoneOnce) {
-  ThreadPool pool(4);
-  // Indices [0, size()) are the workers; size() is the calling thread.
-  std::vector<std::atomic<int>> visits(5);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> caller_participated{false};
-  pool.run_on_all_with_caller([&](std::size_t i) {
-    visits[i].fetch_add(1);
-    if (std::this_thread::get_id() == caller) {
-      EXPECT_EQ(i, 4u);
-      caller_participated.store(true);
-    }
-  });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-  EXPECT_TRUE(caller_participated.load());
-}
-
-TEST(ThreadPool, RunOnAllWithCallerPropagatesCallerException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.run_on_all_with_caller([&](std::size_t i) {
-    if (i == 2) throw std::runtime_error("caller lane");
-  }),
-               std::runtime_error);
-  // Still reusable afterwards.
-  std::vector<std::atomic<int>> visits(3);
-  pool.run_on_all_with_caller([&](std::size_t i) { visits[i].fetch_add(1); });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 TEST(ThreadPool, ChunksAreDisjointAndOrdered) {
