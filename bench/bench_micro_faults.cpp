@@ -52,18 +52,18 @@ void BM_DropDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_DropDraw);
 
-void BM_ChunkStraggleDecision(benchmark::State& state) {
+void BM_StepStraggleDecision(benchmark::State& state) {
   FaultPlan plan;
   plan.straggler_prob = 0.1;
   FaultInjector faults;
   faults.install(plan, 42);
-  std::size_t chunk = 0, hits = 0;
+  std::size_t step = 0, hits = 0;
   for (auto _ : state) {
-    hits += faults.chunk_straggles(chunk++);
+    hits += faults.step_straggles(step++);
   }
   benchmark::DoNotOptimize(hits);
 }
-BENCHMARK(BM_ChunkStraggleDecision);
+BENCHMARK(BM_StepStraggleDecision);
 
 void run_hogwild_epoch(benchmark::State& state, bool faulted) {
   const Dataset ds = generate_dataset(

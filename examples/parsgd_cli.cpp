@@ -255,13 +255,9 @@ int run(int argc, char** argv) {
   }
   if (run.resilience.any()) {
     const ResilienceStats& rs = run.resilience;
-    std::printf("  resilience: %zu recoveries, %zu backup wins "
-                "(%zu deadline misses, %.0fus straggle clipped), "
-                "%zu quarantined, ladder %zu down / %zu up (final %s), "
+    std::printf("  resilience: %zu recoveries, %zu quarantined, "
                 "%zu checkpoints\n",
-                rs.recoveries, rs.backup_wins, rs.deadline_misses,
-                rs.saved_straggle_us, rs.quarantined, rs.ladder_down,
-                rs.ladder_up, to_string(rs.final_level), rs.checkpoints);
+                rs.recoveries, rs.quarantined, rs.checkpoints);
   }
 
   if (!run.attribution.empty()) {

@@ -26,9 +26,8 @@ PARSGD_FORCE_SCALAR=1 \
 
 # Fault-sweep lane: drive the resilience supervisor (DESIGN.md §16)
 # against each injected fault class at tier-1 speed. Every run must
-# converge cleanly — the supervisor absorbs the faults — and the
-# straggler sweep doubles as the §16 acceptance check that speculation
-# keeps a faulty sync run on the fault-free trajectory.
+# converge cleanly: stragglers only cost wall time, sanitization
+# quarantines the poison, and the epoch deadline retries the hang.
 for spec in \
     "sync/cpu-par/sparse:batch=64,straggler=0.2@8" \
     "sync/cpu-seq/sparse:batch=64,poison=0.01" \
@@ -38,13 +37,15 @@ for spec in \
 done
 
 # Cluster lane (DESIGN.md §17): smoke both update strategies through the
-# CLI at nodes=4 — with a nodedown + speculation pass riding along — then
-# self-diff a cluster run report through parsgd_compare (the cluster
-# slice must survive write/read/compare untouched).
+# CLI at nodes=4 — with a nodedown + shard re-execution pass and an
+# all-reduce run under per-step drop/straggler faults riding along —
+# then self-diff a cluster run report through parsgd_compare (the
+# cluster slice must survive write/read/compare untouched).
 for spec in \
     "async/cluster/sparse:nodes=4,batch=64" \
     "sync/cluster/sparse:nodes=4,batch=64,link=50us:1gbps" \
-    "async/cluster/sparse:nodes=4,batch=64,faults=nodedown@2:1"; do
+    "async/cluster/sparse:nodes=4,batch=64,faults=nodedown@2:1" \
+    "sync/cluster/sparse:nodes=4,batch=64,drop=0.1,straggler=0.2@8"; do
   "$BUILD_DIR/examples/parsgd_cli" --task=LR --dataset=w8a --scale=50 \
       --engine="$spec" --alpha=0.5 --epochs=8 --resilience=full >/dev/null
 done
@@ -90,10 +91,10 @@ rm -rf "$obs_tmp"
 
 # Kernel-equivalence suite under ASan+UBSan (separate build tree so the
 # main gate binaries stay uninstrumented). The supervisor suite joins it
-# (EWMA gate + ladder state touched from pool workers). The cluster
-# simulator joins both sanitizer lanes: its delay ring and sharding
-# cursors are fresh memory-layout code, and its all-reduce head runs on
-# the pool. The flight recorder joins both lanes too: its seqlock ring is
+# (rollback snapshots, checkpoint crash-resume on a pool-backed engine).
+# The cluster simulator joins both sanitizer lanes: its delay ring and
+# sharding cursors are fresh memory-layout code, and its all-reduce head
+# runs on the pool. The flight recorder joins both lanes too: its seqlock ring is
 # raw index math over a flat buffer (ASan) read concurrently with the
 # writer (TSan), and the telemetry exporters render snapshots while
 # instruments are live.
@@ -109,8 +110,9 @@ cmake --build "$ASAN_BUILD_DIR" -j --target test_kernels \
 "$ASAN_BUILD_DIR/tests/test_telemetry"
 
 # The pool's concurrency (lock-free chunk dispatch, spin-then-park
-# wake protocol) under ThreadSanitizer, plus the fault injector's atomic
-# counters and the supervisor's cross-worker gate.
+# wake protocol) under ThreadSanitizer, plus the suites whose engines fan
+# work out to a pool (faults, supervisor, cluster) and the recorder and
+# telemetry readers that run concurrently with their writers.
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_BUILD_DIR" -S . -DPARSGD_WERROR=ON -DPARSGD_SANITIZE=thread
 cmake --build "$TSAN_BUILD_DIR" -j --target test_thread_pool \

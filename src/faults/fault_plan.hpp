@@ -30,8 +30,10 @@
 // Continuous faults are their own keys:
 //   straggler=P[@U] each async unit straggles with probability P, adding
 //                   a staleness delay uniform on [1, U] units (default 4),
-//   drop=P          each async update is computed but dropped (lost
-//                   update) with probability P,
+//                   and each CPU model update sleeps 50us x U with
+//                   probability P (wall time only),
+//   drop=P          each update is computed but dropped (lost update)
+//                   with probability P,
 //   poison=P        each update is poisoned (NaN gradient from a bad
 //                   example) with probability P; with sanitization on the
 //                   update is quarantined instead of applied.

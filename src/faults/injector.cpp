@@ -6,14 +6,8 @@
 #include <limits>
 #include <thread>
 
-#include "common/clock.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
-
-namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
-}  // namespace
 
 void FaultInjector::install(const FaultPlan& plan, std::uint64_t seed) {
   plan_ = plan;
@@ -27,16 +21,8 @@ void FaultInjector::install(const FaultPlan& plan, std::uint64_t seed) {
   crash_fired_ = false;
   hang_fired_ = false;
   nodedown_fired_ = false;
-  corruptions_.store(0, kRelaxed);
-  bitflips_.store(0, kRelaxed);
-  dropped_.store(0, kRelaxed);
-  poisoned_.store(0, kRelaxed);
-  quarantined_.store(0, kRelaxed);
-  hangs_.store(0, kRelaxed);
-  stragglers_.store(0, kRelaxed);
-  straggle_us_.store(0, kRelaxed);
-  node_downs_.store(0, kRelaxed);
-  node_recoveries_.store(0, kRelaxed);
+  counts_ = FaultCounters{};
+  straggle_us_ = 0;
 }
 
 void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
@@ -68,20 +54,6 @@ void FaultInjector::set_telemetry(telemetry::TelemetrySession* session) {
   }
 }
 
-FaultCounters FaultInjector::counters() const {
-  FaultCounters c;
-  c.corruptions = corruptions_.load(kRelaxed);
-  c.bitflips = bitflips_.load(kRelaxed);
-  c.stragglers = stragglers_.load(kRelaxed);
-  c.dropped = dropped_.load(kRelaxed);
-  c.poisoned = poisoned_.load(kRelaxed);
-  c.quarantined = quarantined_.load(kRelaxed);
-  c.hangs = hangs_.load(kRelaxed);
-  c.node_downs = node_downs_.load(kRelaxed);
-  c.node_recoveries = node_recoveries_.load(kRelaxed);
-  return c;
-}
-
 void FaultInjector::seek_epoch(std::size_t epoch) { epoch_ = epoch; }
 
 void FaultInjector::begin_epoch(std::span<real_t> w) {
@@ -102,7 +74,7 @@ void FaultInjector::begin_epoch(std::span<real_t> w) {
       std::uint32_t bits = std::bit_cast<std::uint32_t>(w[plan_.flip_coord]);
       bits ^= std::uint32_t{1} << (plan_.flip_bit & 31u);
       w[plan_.flip_coord] = std::bit_cast<real_t>(bits);
-      bitflips_.fetch_add(1, kRelaxed);
+      ++counts_.bitflips;
       if (c_bitflips_ != nullptr) c_bitflips_->inc();
       if (trace_ != nullptr) {
         trace_->instant("fault.bitflip",
@@ -116,7 +88,7 @@ void FaultInjector::begin_epoch(std::span<real_t> w) {
     // blown epoch deadline after the fact and retries the (numerically
     // clean, deterministic) epoch, so the trajectory is unchanged.
     hang_fired_ = true;
-    hangs_.fetch_add(1, kRelaxed);
+    ++counts_.hangs;
     if (c_hangs_ != nullptr) c_hangs_->inc();
     if (trace_ != nullptr) {
       trace_->instant("fault.hang",
@@ -132,7 +104,7 @@ std::size_t FaultInjector::node_down_this_epoch() {
   // begin_epoch advanced the clock past the epoch it just started.
   if (epoch_ - 1 != plan_.nodedown_epoch) return kNoNode;
   nodedown_fired_ = true;
-  node_downs_.fetch_add(1, kRelaxed);
+  ++counts_.node_downs;
   if (c_node_downs_ != nullptr) c_node_downs_->inc();
   if (trace_ != nullptr) {
     trace_->instant("fault.nodedown",
@@ -143,7 +115,7 @@ std::size_t FaultInjector::node_down_this_epoch() {
 }
 
 void FaultInjector::note_node_recovered() {
-  node_recoveries_.fetch_add(1, kRelaxed);
+  ++counts_.node_recoveries;
   if (c_node_recoveries_ != nullptr) c_node_recoveries_->inc();
   if (trace_ != nullptr) trace_->instant("fault.node_recovered", {});
 }
@@ -159,7 +131,7 @@ void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {
     for (std::size_t i = 0; i < steps; ++i) {
       if (!rng_.bernoulli(plan_.poison_prob)) continue;
       for (real_t& x : w) x = std::numeric_limits<real_t>::quiet_NaN();
-      poisoned_.fetch_add(1, kRelaxed);
+      ++counts_.poisoned;
       if (c_poisoned_ != nullptr) c_poisoned_->inc();
       if (trace_ != nullptr) {
         trace_->instant("fault.poison",
@@ -174,7 +146,7 @@ void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {
                            ? std::numeric_limits<real_t>::quiet_NaN()
                            : std::numeric_limits<real_t>::infinity();
     for (real_t& x : w) x = bad;
-    corruptions_.fetch_add(1, kRelaxed);
+    ++counts_.corruptions;
     if (c_corruptions_ != nullptr) c_corruptions_->inc();
     if (trace_ != nullptr) {
       trace_->instant("fault.corrupt",
@@ -186,13 +158,13 @@ void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {
 bool FaultInjector::drop_update() {
   if (!active()) return false;
   if (plan_.drop_prob > 0 && rng_.bernoulli(plan_.drop_prob)) {
-    dropped_.fetch_add(1, kRelaxed);
+    ++counts_.dropped;
     if (c_dropped_ != nullptr) c_dropped_->inc();
     return true;
   }
   if (sanitize_ && plan_.poison_prob > 0 &&
       rng_.bernoulli(plan_.poison_prob)) {
-    quarantined_.fetch_add(1, kRelaxed);
+    ++counts_.quarantined;
     if (c_quarantined_ != nullptr) c_quarantined_->inc();
     if (trace_ != nullptr) trace_->instant("fault.quarantine", {});
     return true;
@@ -203,56 +175,29 @@ bool FaultInjector::drop_update() {
 std::size_t FaultInjector::straggle_units() {
   if (!active() || plan_.straggler_prob <= 0) return 0;
   if (!rng_.bernoulli(plan_.straggler_prob)) return 0;
-  stragglers_.fetch_add(1);
+  ++counts_.stragglers;
   if (c_stragglers_ != nullptr) c_stragglers_->inc();
   return 1 + rng_.uniform_index(plan_.straggler_units);
 }
 
-bool FaultInjector::chunk_straggles(std::size_t chunk) const {
+bool FaultInjector::step_straggles(std::size_t step) const {
   if (!active() || plan_.straggler_prob <= 0) return false;
-  std::uint64_t h = seed_ ^ (0x9e3779b97f4a7c15ULL * (chunk + 1));
+  std::uint64_t h = seed_ ^ (0x9e3779b97f4a7c15ULL * (step + 1));
   const std::uint64_t r = splitmix64(h);
   return static_cast<double>(r >> 11) * 0x1.0p-53 < plan_.straggler_prob;
 }
 
-void FaultInjector::chunk_hook(std::size_t chunk) {
-  StraggleGate* const gate = gate_;
-  if (gate != nullptr) {
-    // Per-worker inter-arrival gaps feed the supervisor's EWMA of typical
-    // chunk time; its outlier rejection discards gaps inflated by a prior
-    // straggle sleep or an epoch boundary.
-    const double now_us = monotonic_seconds() * 1e6;
-    thread_local double last_us = 0;
-    if (last_us > 0 && now_us > last_us) {
-      gate->observe_chunk_us(now_us - last_us);
-    }
-    last_us = now_us;
-  }
-  if (!chunk_straggles(chunk)) return;
-  note_chunk_straggled();
+void FaultInjector::straggle_step() {
+  if (!step_straggles(step_)) return;
+  ++counts_.stragglers;
   if (c_stragglers_ != nullptr) c_stragglers_->inc();
   if (trace_ != nullptr) {
-    trace_->instant("fault.straggle",
-                    {{"chunk", static_cast<double>(chunk)}});
+    trace_->instant("fault.straggle", {{"step", static_cast<double>(step_)}});
   }
-  double delay_us = 50.0 * static_cast<double>(plan_.straggler_units);
-  if (gate != nullptr) delay_us = gate->gate_straggle_us(delay_us);
-  if (delay_us > 0) {
-    straggle_us_.fetch_add(delay_us, std::memory_order_relaxed);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::micro>(delay_us));
-  }
-}
-
-ChunkHookGuard::ChunkHookGuard(ThreadPool& pool, FaultInjector& faults) {
-  if (!faults.active() || faults.plan().straggler_prob <= 0) return;
-  pool_ = &pool;
-  pool_->set_chunk_hook(
-      [&faults](std::size_t chunk) { faults.chunk_hook(chunk); });
-}
-
-ChunkHookGuard::~ChunkHookGuard() {
-  if (pool_ != nullptr) pool_->set_chunk_hook(nullptr);
+  const double delay_us = 50.0 * static_cast<double>(plan_.straggler_units);
+  straggle_us_ += delay_us;
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::micro>(delay_us));
 }
 
 }  // namespace parsgd

@@ -1,7 +1,7 @@
 // FaultInjector — executes a FaultPlan against a running engine.
 //
 // One injector lives in every Engine (sgd/engine.hpp); make_engine installs
-// the context/spec plan after construction. Engines call the hooks from
+// the spec plan after construction. Engines call the hooks from
 // their run_epoch paths; every hook is a no-op returning immediately when
 // no plan is installed, so baseline trajectories are bit-identical — the
 // injector owns a private Rng and never draws from the training stream.
@@ -11,7 +11,6 @@
 // transient-fault model the recovery machinery is meant to absorb.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 
@@ -21,8 +20,6 @@
 #include "telemetry/session.hpp"
 
 namespace parsgd {
-
-class ThreadPool;
 
 /// How often each fault class actually fired (visible in tests/CLI).
 struct FaultCounters {
@@ -37,23 +34,6 @@ struct FaultCounters {
   std::size_t node_recoveries = 0;  ///< node shards speculatively re-run
 };
 
-/// Observation/arbitration seam between the injector's straggler sleeps
-/// and the training supervisor (sgd/supervisor.hpp). The injector reports
-/// chunk inter-arrival gaps from pool workers and offers every planned
-/// straggle delay for gating; the gate caps the delay at its deadline —
-/// modeling a deterministic backup task that finishes in typical time and
-/// wins the fixed arbitration race (DESIGN.md §16). Wall-clock only: the
-/// chunk's result is unchanged either way, so trajectories are too.
-class StraggleGate {
- public:
-  virtual ~StraggleGate() = default;
-  /// One observed chunk inter-arrival gap, called from any pool worker.
-  virtual void observe_chunk_us(double us) = 0;
-  /// Offers a planned straggle delay; returns the delay to actually apply
-  /// (< planned when the backup wins).
-  virtual double gate_straggle_us(double planned_us) = 0;
-};
-
 class FaultInjector {
  public:
   /// Installs `plan`; `seed` decorrelates fault draws from the run seed.
@@ -61,7 +41,7 @@ class FaultInjector {
 
   bool active() const { return active_ && !suspended_; }
   const FaultPlan& plan() const { return plan_; }
-  FaultCounters counters() const;
+  const FaultCounters& counters() const { return counts_; }
 
   /// Temporarily silences every hook (cost-probe epochs must not consume
   /// one-shot faults or fault-rng draws).
@@ -72,10 +52,6 @@ class FaultInjector {
   /// as the work they perturb. Null detaches. Engine::set_telemetry
   /// forwards here; the session must outlive the injector's hooks.
   void set_telemetry(telemetry::TelemetrySession* session);
-
-  /// Attaches/detaches (null) the supervisor's straggle gate. Written
-  /// while no epoch is running, like set_telemetry.
-  void set_straggle_gate(StraggleGate* gate) { gate_ = gate; }
 
   /// Turns on gradient sanitization: poisoned updates are quarantined in
   /// drop_update() (computed, caught, discarded) instead of reaching the
@@ -118,34 +94,27 @@ class FaultInjector {
   /// Extra staleness (in units) for the next async unit; 0 = on time.
   std::size_t straggle_units();
 
-  /// Stateless per-chunk straggler decision for thread-pool hooks: pure
-  /// hash of (seed, chunk), safe from any worker thread. Callers that act
-  /// on it report via note_chunk_straggled().
-  bool chunk_straggles(std::size_t chunk) const;
-  void note_chunk_straggled() { stragglers_.fetch_add(1); }
+  /// Stateless straggler decision for run-global update step `step`: a
+  /// pure hash of (seed, step), so it draws nothing from the fault rng.
+  bool step_straggles(std::size_t step) const;
 
-  /// ThreadPool chunk hook: delays straggling chunks by a real sleep
-  /// (execution-only — the reduction grids are deterministic, so the
-  /// trajectory is unchanged; only wall time and counters move).
-  void chunk_hook(std::size_t chunk);
-
-  /// Straggler seam of the mini-batch step loops, called once before each
-  /// step: chunk_hook keyed by the run-global update-step count, so the
-  /// decision varies across units and epochs. No-op unless a straggler
-  /// plan is active.
+  /// Straggler seam of the CPU step loops, called once before every
+  /// model update: a step that step_straggles() sleeps 50us x
+  /// straggler_units. Execution-only — the update itself is unchanged,
+  /// so only wall time and counters move. No-op unless a straggler plan
+  /// is active.
   void before_step() {
-    if (active() && plan_.straggler_prob > 0) chunk_hook(step_);
+    if (active() && plan_.straggler_prob > 0) straggle_step();
   }
 
-  /// Straggle delay actually applied (post-gating), in microseconds,
-  /// accumulated across all chunk hooks since install/reset. The
-  /// attribution ledger reads per-epoch deltas of this for its host
-  /// stall bucket.
-  double applied_straggle_us() const {
-    return straggle_us_.load(std::memory_order_relaxed);
-  }
+  /// Straggle delay applied by before_step since install, in
+  /// microseconds. The attribution ledger reads per-epoch deltas of this
+  /// for its host stall bucket.
+  double applied_straggle_us() const { return straggle_us_; }
 
  private:
+  void straggle_step();  ///< before_step's slow path
+
   FaultPlan plan_;
   bool active_ = false;
   bool suspended_ = false;
@@ -161,25 +130,11 @@ class FaultInjector {
   bool nodedown_fired_ = false;
   bool sanitize_ = false;
 
-  // All counters are atomic: pool chunk hooks can bump or read them from
-  // worker threads while the driving thread reads counters() (relaxed —
-  // they are statistics, not synchronization).
-  std::atomic<std::size_t> corruptions_{0};
-  std::atomic<std::size_t> bitflips_{0};
-  std::atomic<std::size_t> dropped_{0};
-  std::atomic<std::size_t> poisoned_{0};
-  std::atomic<std::size_t> quarantined_{0};
-  std::atomic<std::size_t> hangs_{0};
-  std::atomic<std::size_t> stragglers_{0};  ///< bumped from pool workers
-  std::atomic<double> straggle_us_{0};      ///< applied straggle (pool workers)
-  std::atomic<std::size_t> node_downs_{0};
-  std::atomic<std::size_t> node_recoveries_{0};
-
-  StraggleGate* gate_ = nullptr;  ///< supervisor seam; null when detached
+  FaultCounters counts_;
+  double straggle_us_ = 0;  ///< applied straggle delay
 
   /// Telemetry mirror, cached on set_telemetry (called while no epoch is
-  /// running; pool workers see the write via the chunk-hook install's
-  /// mutex). Null when detached.
+  /// running). Null when detached.
   telemetry::TraceRecorder* trace_ = nullptr;
   telemetry::Counter* c_crashes_ = nullptr;
   telemetry::Counter* c_bitflips_ = nullptr;
@@ -191,21 +146,6 @@ class FaultInjector {
   telemetry::Counter* c_hangs_ = nullptr;
   telemetry::Counter* c_node_downs_ = nullptr;
   telemetry::Counter* c_node_recoveries_ = nullptr;
-};
-
-/// RAII installer of the straggler chunk hook on a pool for the duration
-/// of one epoch. A no-op (no hook, no clearing) unless the injector has an
-/// active straggler plan, so baseline epochs never touch the pool.
-class ChunkHookGuard {
- public:
-  ChunkHookGuard(ThreadPool& pool, FaultInjector& faults);
-  ~ChunkHookGuard();
-
-  ChunkHookGuard(const ChunkHookGuard&) = delete;
-  ChunkHookGuard& operator=(const ChunkHookGuard&) = delete;
-
- private:
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace parsgd

@@ -71,7 +71,6 @@ void ThreadPool::drain_chunks() {
     std::size_t lo, hi;
     chunk_range(job_n_, job_chunks_, c, lo, hi);
     try {
-      if (chunk_hook_) chunk_hook_(c);
       if (trace_chunks_) {
         telemetry::TraceSpan span(&telemetry_->trace(), "chunk");
         span.arg("chunk", static_cast<double>(c));
@@ -211,13 +210,6 @@ void ThreadPool::parallel_for(
   publish_job(&fn, n, chunks);
   drain_chunks();  // the caller is a participant too
   finish_job();
-}
-
-void ThreadPool::set_chunk_hook(std::function<void(std::size_t)> hook) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  PARSGD_CHECK(!job_live_,
-               "cannot change the chunk hook while a job is live");
-  chunk_hook_ = std::move(hook);
 }
 
 void ThreadPool::set_telemetry(telemetry::TelemetrySession* session) {

@@ -134,17 +134,9 @@ KernelReport KernelReport::from(const std::string& name,
 ResilienceSlice ResilienceSlice::from(const ResilienceStats& s) {
   ResilienceSlice out;
   out.recoveries = static_cast<double>(s.recoveries);
-  out.deadline_misses = static_cast<double>(s.deadline_misses);
-  out.backup_wins = static_cast<double>(s.backup_wins);
-  out.ladder_down = static_cast<double>(s.ladder_down);
-  out.ladder_up = static_cast<double>(s.ladder_up);
   out.quarantined = static_cast<double>(s.quarantined);
   out.checkpoints = static_cast<double>(s.checkpoints);
-  out.saved_straggle_us = s.saved_straggle_us;
   out.node_recoveries = static_cast<double>(s.node_recoveries);
-  if (s.final_level != DegradeLevel::kNone) {
-    out.final_level = to_string(s.final_level);
-  }
   return out;
 }
 
@@ -158,7 +150,6 @@ AttributionSlice AttributionSlice::from(
     out.m_stall_s += e.m_stall_s;
     out.h_compute_s += e.h_compute_s;
     out.h_queue_s += e.h_queue_s;
-    out.h_ready_s += e.h_ready_s;
     out.h_stall_s += e.h_stall_s;
     out.h_recovery_s += e.h_recovery_s;
     out.h_checkpoint_s += e.h_checkpoint_s;
@@ -260,17 +251,11 @@ void write_report(std::ostream& os, const RunReport& report) {
       const ResilienceSlice& rs = e.resilience;
       Json res{JsonMembers{}};
       res.set("recoveries", num(rs.recoveries));
-      res.set("deadline_misses", num(rs.deadline_misses));
-      res.set("backup_wins", num(rs.backup_wins));
-      res.set("ladder_down", num(rs.ladder_down));
-      res.set("ladder_up", num(rs.ladder_up));
       res.set("quarantined", num(rs.quarantined));
       res.set("checkpoints", num(rs.checkpoints));
-      res.set("saved_straggle_us", num(rs.saved_straggle_us));
       if (rs.node_recoveries > 0) {
         res.set("node_recoveries", num(rs.node_recoveries));
       }
-      if (!rs.final_level.empty()) res.set("final_level", rs.final_level);
       o.set("resilience", std::move(res));
     }
     if (e.cluster.any()) {
@@ -301,7 +286,6 @@ void write_report(std::ostream& os, const RunReport& report) {
       Json h{JsonMembers{}};
       h.set("compute_s", num(as.h_compute_s));
       h.set("queue_s", num(as.h_queue_s));
-      h.set("ready_s", num(as.h_ready_s));
       h.set("stall_s", num(as.h_stall_s));
       h.set("recovery_s", num(as.h_recovery_s));
       h.set("checkpoint_s", num(as.h_checkpoint_s));
@@ -424,19 +408,13 @@ RunReport read_report(std::istream& is) {
           }
         }
       }
-      // Absent in pre-resilience reports (additive-field policy).
+      // Absent in pre-resilience reports (additive-field policy). The
+      // speculation and ladder counters of older reports are ignored.
       if (const Json* res = o.find("resilience")) {
         e.resilience.recoveries = get_num(*res, "recoveries", 0);
-        e.resilience.deadline_misses = get_num(*res, "deadline_misses", 0);
-        e.resilience.backup_wins = get_num(*res, "backup_wins", 0);
-        e.resilience.ladder_down = get_num(*res, "ladder_down", 0);
-        e.resilience.ladder_up = get_num(*res, "ladder_up", 0);
         e.resilience.quarantined = get_num(*res, "quarantined", 0);
         e.resilience.checkpoints = get_num(*res, "checkpoints", 0);
-        e.resilience.saved_straggle_us =
-            get_num(*res, "saved_straggle_us", 0);
         e.resilience.node_recoveries = get_num(*res, "node_recoveries", 0);
-        e.resilience.final_level = get_str(*res, "final_level");
       }
       // Absent in pre-cluster reports (additive-field policy).
       if (const Json* cl = o.find("cluster")) {
@@ -459,10 +437,11 @@ RunReport read_report(std::istream& is) {
           e.attribution.m_net_s = get_num(*m, "net_s", 0);
           e.attribution.m_stall_s = get_num(*m, "stall_s", 0);
         }
+        // Older reports also carry an always-zero host ready_s; it is
+        // accepted and ignored.
         if (const Json* h = at->find("host")) {
           e.attribution.h_compute_s = get_num(*h, "compute_s", 0);
           e.attribution.h_queue_s = get_num(*h, "queue_s", 0);
-          e.attribution.h_ready_s = get_num(*h, "ready_s", 0);
           e.attribution.h_stall_s = get_num(*h, "stall_s", 0);
           e.attribution.h_recovery_s = get_num(*h, "recovery_s", 0);
           e.attribution.h_checkpoint_s = get_num(*h, "checkpoint_s", 0);

@@ -92,21 +92,13 @@ struct Axes {
 /// regression axis.
 struct ResilienceSlice {
   double recoveries = 0;        ///< rollback + retry events
-  double deadline_misses = 0;   ///< chunks past the speculation deadline
-  double backup_wins = 0;       ///< speculative backups that beat a straggler
-  double ladder_down = 0;       ///< degradation steps taken
-  double ladder_up = 0;         ///< re-promotions after clean streaks
   double quarantined = 0;       ///< poisoned updates sanitized away
   double checkpoints = 0;       ///< auto-checkpoints written
-  double saved_straggle_us = 0; ///< injected delay clipped by backups
   double node_recoveries = 0;   ///< cluster shards speculatively re-run
-  std::string final_level;      ///< ladder rung at run end ("" when kNone)
 
   bool any() const {
-    return recoveries > 0 || deadline_misses > 0 || backup_wins > 0 ||
-           ladder_down > 0 || ladder_up > 0 || quarantined > 0 ||
-           checkpoints > 0 || saved_straggle_us > 0 ||
-           node_recoveries > 0 || !final_level.empty();
+    return recoveries > 0 || quarantined > 0 || checkpoints > 0 ||
+           node_recoveries > 0;
   }
   static ResilienceSlice from(const ResilienceStats& s);
 };
@@ -147,7 +139,6 @@ struct AttributionSlice {
   double m_stall_s = 0;       ///< modeled staleness-stall seconds
   double h_compute_s = 0;     ///< host compute residual
   double h_queue_s = 0;       ///< host pool queue-wait share
-  double h_ready_s = 0;       ///< host ready-wait share; always 0
   double h_stall_s = 0;       ///< host injected-straggle stall
   double h_recovery_s = 0;    ///< host supervisor recovery/backoff
   double h_checkpoint_s = 0;  ///< host checkpoint I/O
@@ -155,7 +146,7 @@ struct AttributionSlice {
   bool any() const { return epochs > 0; }
   double modeled_total() const { return m_compute_s + m_net_s + m_stall_s; }
   double host_total() const {
-    return h_compute_s + h_queue_s + h_ready_s + h_stall_s + h_recovery_s +
+    return h_compute_s + h_queue_s + h_stall_s + h_recovery_s +
            h_checkpoint_s;
   }
   /// Folds a run's per-epoch ledger (RunResult::attribution).

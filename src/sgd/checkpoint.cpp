@@ -12,8 +12,11 @@ namespace parsgd {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50534744u;  // "PSGD"
-// v1: core trajectory state; v2 appends the flight-recorder window.
-constexpr std::uint32_t kVersion = 2;
+// v1: core trajectory state; v2 appends the flight-recorder window; v3
+// drops the always-zero ready-wait slot from each frame.
+constexpr std::uint32_t kVersion = 3;
+// Index of the ready-wait slot in a v2 frame, read and dropped.
+constexpr std::size_t kV2ReadySlot = 8;
 
 template <typename T>
 void put(std::ostream& os, const T& v) {
@@ -140,7 +143,10 @@ TrainCheckpoint load_checkpoint(const std::string& path) {
     ck.flight.resize(n_frames);
     for (telemetry::FlightSample& f : ck.flight) {
       std::array<double, telemetry::FlightSample::kFields> a{};
-      for (double& v : a) v = get<double>(is, path);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        if (version == 2 && i == kV2ReadySlot) get<double>(is, path);
+        a[i] = get<double>(is, path);
+      }
       f = telemetry::FlightSample::from_array(a);
     }
   }

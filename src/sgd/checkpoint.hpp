@@ -10,10 +10,11 @@
 // real_t), then the partial RunResult (initial_loss f64, diverged u8,
 // alpha_scale f64, losses/epoch_seconds as u64 count + f64s, recoveries
 // as u64 count + {u64 epoch, f64 bad_loss, f64 alpha_scale_after,
-// u8 reason}). Version 2 appends the flight-recorder window (DESIGN.md
-// §18): u64 frame count + frames of FlightSample::kFields f64s each;
-// readers accept v1 (empty window) and v2, so post-crash post-mortems
-// work against checkpoints from either era. Writes go to "<path>.tmp"
+// u8 reason}), then the flight-recorder window (DESIGN.md §18): u64
+// frame count + frames of FlightSample::kFields f64s each (version 3).
+// Readers also accept v1 (no window, loaded empty) and v2 (13-double
+// frames whose always-zero ready-wait slot is read and dropped), so
+// post-crash post-mortems work against checkpoints from every era. Writes go to "<path>.tmp"
 // then rename, so a crash mid-write never corrupts the previous
 // checkpoint.
 #pragma once
@@ -36,7 +37,7 @@ struct TrainCheckpoint {
   std::vector<real_t> w;        ///< model weights as of next_epoch
   RunResult partial;            ///< trajectory recorded so far
   /// Flight-recorder window at save time (empty when record=off or the
-  /// checkpoint predates v2). Survives crashes for post-mortems.
+  /// checkpoint is v1). Survives crashes for post-mortems.
   std::vector<telemetry::FlightSample> flight;
 };
 

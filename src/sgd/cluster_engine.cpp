@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace parsgd {
 
@@ -172,21 +171,11 @@ double ClusterEngine::allreduce_epoch(std::span<real_t> w, real_t alpha,
   const bool speculate =
       supervisor_ != nullptr && supervisor_->active();
   stats_ = ClusterEpochStats{};
-  // The inner engine's own injector is empty (make_engine installs faults
-  // only on this engine), but the supervisor's scalar pin / degradation
-  // ladder must reach the trajectory path.
-  sync_->set_supervisor(supervisor_);
-  ThreadPool& pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  ChunkHookGuard straggle_guard(pool, faults_);
-  const double machine_secs = sync_->run_epoch(w, alpha, rng);
-  // Step-indexed faults (nan@K, poison) fire on the outer injector; the
-  // trajectory made this many model updates.
-  const std::size_t upd_run =
-      opts_.batch == 0
-          ? 1
-          : (data_.n() + opts_.batch - 1) / opts_.batch;
-  faults_.after_updates(upd_run, w);
+  // The inner engine owns the node-local cost model; the trajectory runs
+  // on this engine's injector, so every per-step hook (drop, poison,
+  // straggler, nan@K) fires once per step exactly as on sync/cpu-par.
+  const double machine_secs = sync_->epoch_seconds(w);
+  sync_->train_epoch(w, alpha, rng, faults_);
 
   const double upd_paper =
       opts_.batch == 0

@@ -94,8 +94,8 @@ RunResult run_training(Engine& engine, const Model& model,
   SupervisorOptions sup_opts = opts.supervisor;
   sup_opts.seed ^= opts.seed * 0x9E3779B97F4A7C15ULL;
   TrainingSupervisor supervisor(sup_opts, engine.telemetry());
-  // RAII detach: the engine (and its injector's gate pointer) outlives
-  // this call, the supervisor does not — even on a CrashFault unwind.
+  // RAII detach: the engine outlives this call, the supervisor does not —
+  // even on a CrashFault unwind.
   struct SupervisorGuard {
     Engine* eng = nullptr;
     ~SupervisorGuard() {
@@ -181,11 +181,8 @@ RunResult run_training(Engine& engine, const Model& model,
                                  opts.max_epochs - res.losses.size());
     }
     if (supervisor.active()) {
-      const ResilienceStats rs = supervisor.stats();
       st.has_resilience = true;
-      st.recoveries = rs.recoveries;
-      st.backup_wins = rs.backup_wins;
-      st.ladder = to_string(rs.final_level);
+      st.recoveries = supervisor.stats().recoveries;
     }
     if (recorder != nullptr) {
       st.record_ms = opts.record_ms;
@@ -221,7 +218,6 @@ RunResult run_training(Engine& engine, const Model& model,
     fs.m_net_s = tot.m_net_s;
     fs.m_stall_s = tot.m_stall_s;
     fs.h_queue_s = tot.h_queue_s;
-    fs.h_ready_s = tot.h_ready_s;
     fs.h_stall_s = tot.h_stall_s;
     fs.h_recovery_s = tot.h_recovery_s;
     fs.h_checkpoint_s = tot.h_checkpoint_s;
@@ -380,7 +376,7 @@ RunResult run_training(Engine& engine, const Model& model,
         ck.rng = rng.state();
         ck.w = w;
         ck.partial = res;
-        // The flight window rides along (checkpoint v2) so a post-mortem
+        // The flight window rides along (checkpoint v3) so a post-mortem
         // works even after a crash@E fault kills the process.
         if (recorder != nullptr) ck.flight = recorder->window();
         save_checkpoint(opts.checkpoint_path, ck);

@@ -109,16 +109,13 @@ class Engine {
   virtual ThreadPool* pool() const { return nullptr; }
 
   /// Attaches/detaches (null) the run's training supervisor (DESIGN.md
-  /// §16). run_training does this for the duration of one run; engines
-  /// consult it at epoch start for the degradation ladder, and the fault
-  /// injector gets its straggle gate / sanitization policy from it.
+  /// §16). run_training does this for the duration of one run; the fault
+  /// injector takes its sanitization policy from it, and cluster engines
+  /// consult it for nodedown speculation.
   void set_supervisor(TrainingSupervisor* supervisor) {
     supervisor_ = supervisor;
-    const bool active = supervisor != nullptr && supervisor->active();
-    faults_.set_straggle_gate(active ? supervisor : nullptr);
-    faults_.set_sanitize(active);
+    faults_.set_sanitize(supervisor != nullptr && supervisor->active());
   }
-  TrainingSupervisor* supervisor() const { return supervisor_; }
 
  protected:
   /// Engines call the hooks of this injector from their run_epoch paths.

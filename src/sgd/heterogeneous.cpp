@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "linalg/cpu_backend.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sgd/step_path.hpp"
 
 namespace parsgd {
 
@@ -17,6 +15,7 @@ SyncEngineOptions device_options(const HeterogeneousOptions& opts,
   o.use_dense = opts.use_dense;
   o.cpu_threads = opts.cpu_threads;
   o.calibration = opts.calibration;
+  o.minibatch = opts.minibatch;
   o.pool = opts.pool;
   o.deterministic = opts.deterministic;
   return o;
@@ -28,14 +27,11 @@ HeterogeneousEngine::HeterogeneousEngine(const Model& model,
                                          const TrainData& data,
                                          const ScaleContext& scale,
                                          const HeterogeneousOptions& opts)
-    : model_(model), data_(data), scale_(scale), opts_(opts),
+    : scale_(scale), opts_(opts),
       gpu_engine_(model, data, scale, device_options(opts, Arch::kGpu)),
       cpu_engine_(model, data, scale,
-                  device_options(opts, Arch::kCpuPar)),
-      traj_backend_(linalg::CpuBackendOptions{
-          .pool = opts.pool, .deterministic = opts.deterministic}) {
+                  device_options(opts, Arch::kCpuPar)) {
   PARSGD_CHECK(opts_.gpu_fraction <= 1.0);
-  traj_backend_.set_sink(&traj_cost_);
 }
 
 void HeterogeneousEngine::instrument(std::span<const real_t> w_sample) {
@@ -75,33 +71,11 @@ void HeterogeneousEngine::set_telemetry(
 double HeterogeneousEngine::run_epoch(std::span<real_t> w, real_t alpha,
                                       Rng& rng) {
   if (!epoch_seconds_) instrument(w);
-  if (supervisor_ != nullptr && supervisor_->active()) {
-    // Last ladder rung (DESIGN.md §16); bit-identical under det=on.
-    traj_backend_.set_force_scalar(supervisor_->level() >=
-                                   DegradeLevel::kScalar);
-  }
   faults_.begin_epoch(w);
-  if (opts_.minibatch == 0) {
-    // The combined gradient equals the single-device batch gradient, so
-    // the functional trajectory is the plain synchronous epoch. Like the
-    // sync engine, the epoch's one update can be dropped or quarantined.
-    if (faults_.drop_update()) {
-      faults_.after_update(w);
-      return *epoch_seconds_;
-    }
-    traj_cost_.reset();
-    model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
-    faults_.after_update(w);
-  } else {
-    // Mini-batch schedule: same trajectory as the sync engine's minibatch
-    // path (the split only changes where gradient work executes), run
-    // through the shared step-path runner (DESIGN.md §15).
-    MinibatchEpochOptions mo;
-    mo.minibatch = opts_.minibatch;
-    mo.use_dense = opts_.use_dense;
-    run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
-                        telemetry_.get(), mo);
-  }
+  // The combined gradient equals the single-device gradient, so the
+  // functional trajectory is the plain synchronous one (full-batch or
+  // mini-batch): the split only changes where gradient work executes.
+  cpu_engine_.train_epoch(w, alpha, rng, faults_);
   return *epoch_seconds_;
 }
 

@@ -15,7 +15,6 @@
 
 #include <optional>
 
-#include "linalg/cpu_backend.hpp"
 #include "sgd/sync_engine.hpp"
 
 namespace parsgd {
@@ -78,8 +77,6 @@ class HeterogeneousEngine final : public Engine {
  private:
   void instrument(std::span<const real_t> w_sample);
 
-  const Model& model_;
-  const TrainData& data_;
   ScaleContext scale_;
   HeterogeneousOptions opts_;
   SyncEngine gpu_engine_;
@@ -89,10 +86,6 @@ class HeterogeneousEngine final : public Engine {
   double gpu_full_ = 0;
   double cpu_full_ = 0;
   CostBreakdown cost_paper_;
-  /// Trajectory backend hoisted out of run_epoch (scratch reuse); the sink
-  /// is reset per epoch and never reported — cost comes from instrument().
-  linalg::CpuBackend traj_backend_;
-  CostBreakdown traj_cost_;
 };
 
 }  // namespace parsgd

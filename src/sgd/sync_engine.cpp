@@ -120,50 +120,44 @@ void SyncEngine::set_telemetry(
 
 double SyncEngine::run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) {
   const double secs = epoch_seconds(w);
-  if (supervisor_ != nullptr && supervisor_->active()) {
-    // Last ladder rung (DESIGN.md §16): pin the trajectory backend to the
-    // scalar kernel table. Bit-identical under det=on, so stepping down
-    // (or back up) never perturbs the trajectory.
-    traj_backend_.set_force_scalar(supervisor_->level() >=
-                                   DegradeLevel::kScalar);
-  }
   faults_.begin_epoch(w);
-  ThreadPool& epoch_pool =
-      opts_.pool != nullptr ? *opts_.pool : ThreadPool::global();
-  ChunkHookGuard straggle_guard(epoch_pool, faults_);
-  // Session attached per epoch so per-worker chunk spans and pool.*
-  // counters flow while this engine runs; detached (off) runs never
-  // touch the pool's telemetry seam.
-  std::optional<PoolTelemetryGuard> tel_guard;
-  if (telemetry_ != nullptr) tel_guard.emplace(epoch_pool, telemetry_.get());
+  train_epoch(w, alpha, rng, faults_);
+  return secs;
+}
+
+void SyncEngine::train_epoch(std::span<real_t> w, real_t alpha, Rng& rng,
+                             FaultInjector& faults) {
   // Functional trajectory: deterministic CPU path, identical for every
   // architecture (synchronous statistical efficiency is arch-independent).
-  if (opts_.minibatch == 0) {
-    telemetry::Counter* c_updates =
-        telemetry_ != nullptr && telemetry_->metrics_enabled()
-            ? &telemetry_->metrics().counter("sync.updates")
-            : nullptr;
-    // The epoch's single update can be a lost update (drop=) or a
-    // quarantined poisoned one (poison= under sanitization); plans
-    // without either draw nothing here, keeping baselines bit-identical.
-    if (faults_.drop_update()) {
-      faults_.after_update(w);
-    } else {
-      traj_cost_.reset();
-      model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
-      faults_.after_update(w);
-      if (c_updates != nullptr) c_updates->inc();
-    }
-  } else {
+  if (opts_.minibatch > 0) {
     // Synchronized mini-batch updates, shuffled batch order per epoch,
     // through the shared step-path runner (DESIGN.md §15).
     MinibatchEpochOptions mo;
     mo.minibatch = opts_.minibatch;
     mo.use_dense = opts_.use_dense;
-    run_minibatch_epoch(model_, data_, alpha, w, rng, faults_,
+    run_minibatch_epoch(model_, data_, alpha, w, rng, faults,
                         telemetry_.get(), mo);
+    return;
   }
-  return secs;
+  // The epoch's single update straggles, and can be a lost update (drop=)
+  // or a quarantined poisoned one (poison= under sanitization), like any
+  // step-loop update; plans without either draw nothing here, keeping
+  // baselines bit-identical.
+  faults.before_step();
+  if (!faults.drop_update()) {
+    // The full-batch update is the one step that runs on the pool: the
+    // session is attached for its duration so per-worker chunk spans and
+    // pool.* counters flow; detached (off) runs never touch the pool's
+    // telemetry seam.
+    std::optional<PoolTelemetryGuard> tel_guard;
+    if (telemetry_ != nullptr) tel_guard.emplace(*pool(), telemetry_.get());
+    traj_cost_.reset();
+    model_.sync_epoch(traj_backend_, data_, opts_.use_dense, alpha, w);
+    if (telemetry_ != nullptr && telemetry_->metrics_enabled()) {
+      telemetry_->metrics().counter("sync.updates").inc();
+    }
+  }
+  faults.after_update(w);
 }
 
 }  // namespace parsgd

@@ -98,6 +98,13 @@ class SyncEngine final : public Engine {
   double run_epoch(std::span<real_t> w, real_t alpha, Rng& rng) override;
   const CostBreakdown& last_cost() const override { return cost_paper_; }
 
+  /// The model updates of one epoch, every step hook fired on `faults`:
+  /// run_epoch passes this engine's own injector after begin_epoch, and
+  /// the all-reduce cluster engine passes its injector so per-step
+  /// faults land on the shared trajectory (DESIGN.md §17).
+  void train_epoch(std::span<real_t> w, real_t alpha, Rng& rng,
+                   FaultInjector& faults);
+
   /// The modeled seconds per epoch (instrumented lazily; alpha-independent).
   double epoch_seconds(std::span<const real_t> w_sample) override;
 

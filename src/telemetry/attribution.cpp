@@ -89,8 +89,8 @@ std::vector<BucketView> modeled_split(const EpochAttribution& e) {
 
 std::vector<BucketView> host_split(const EpochAttribution& e) {
   return {{"compute", e.h_compute_s},   {"queue_wait", e.h_queue_s},
-          {"ready_wait", e.h_ready_s},  {"stall", e.h_stall_s},
-          {"recovery", e.h_recovery_s}, {"checkpoint", e.h_checkpoint_s}};
+          {"stall", e.h_stall_s},       {"recovery", e.h_recovery_s},
+          {"checkpoint", e.h_checkpoint_s}};
 }
 
 void AttributionLedger::add(EpochAttribution e) {
@@ -98,8 +98,8 @@ void AttributionLedger::add(EpochAttribution e) {
   e.host_s = clamp0(e.host_s);
   e.m_compute_s = normalize_buckets(e.modeled_s, {&e.m_net_s, &e.m_stall_s});
   e.h_compute_s = normalize_buckets(
-      e.host_s, {&e.h_queue_s, &e.h_ready_s, &e.h_stall_s, &e.h_recovery_s,
-                 &e.h_checkpoint_s});
+      e.host_s,
+      {&e.h_queue_s, &e.h_stall_s, &e.h_recovery_s, &e.h_checkpoint_s});
   epochs_.push_back(e);
 }
 
@@ -117,7 +117,6 @@ EpochAttribution AttributionLedger::total() const {
     t.host_s += e.host_s;
     t.h_compute_s += e.h_compute_s;
     t.h_queue_s += e.h_queue_s;
-    t.h_ready_s += e.h_ready_s;
     t.h_stall_s += e.h_stall_s;
     t.h_recovery_s += e.h_recovery_s;
     t.h_checkpoint_s += e.h_checkpoint_s;
@@ -138,7 +137,6 @@ EpochAttribution AttributionLedger::mean() const {
   m.host_s /= n;
   m.h_compute_s /= n;
   m.h_queue_s /= n;
-  m.h_ready_s /= n;
   m.h_stall_s /= n;
   m.h_recovery_s /= n;
   m.h_checkpoint_s /= n;
@@ -151,8 +149,7 @@ std::string format_status_line(const RunStatus& s) {
      << " loss=" << s.loss;
   if (s.eta_s >= 0) os << " eta=" << s.eta_s << "s";
   if (s.has_resilience) {
-    os << " rec=" << s.recoveries << " backup=" << s.backup_wins
-       << " ladder=" << s.ladder;
+    os << " rec=" << s.recoveries;
   }
   if (s.record_ms > 0) os << " frames=" << s.flight_frames;
   if (s.has_attribution && s.mean.host_s > 0) {
@@ -178,13 +175,11 @@ std::string format_status_line(const RunStatus& s) {
 
 std::string status_json(const RunStatus& s) {
   std::ostringstream os;
-  os << "{\"schema\":1,\"engine\":\"" << escape(s.engine) << "\""
+  os << "{\"schema\":2,\"engine\":\"" << escape(s.engine) << "\""
      << ",\"epoch\":" << s.epoch << ",\"epochs\":" << s.epochs_total
      << ",\"loss\":" << num(s.loss) << ",\"eta_s\":" << num(s.eta_s);
   if (s.has_resilience) {
-    os << ",\"resilience\":{\"recoveries\":" << s.recoveries
-       << ",\"backup_wins\":" << s.backup_wins << ",\"ladder\":\""
-       << escape(s.ladder) << "\"}";
+    os << ",\"resilience\":{\"recoveries\":" << s.recoveries << "}";
   }
   if (s.record_ms > 0) {
     os << ",\"record\":{\"cadence_ms\":" << num(s.record_ms)

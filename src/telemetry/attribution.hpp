@@ -10,14 +10,12 @@
 //    (network and staleness/nodedown stall come from the cluster engine's
 //    cost model; compute is the residual), and
 //  * the host split over the measured wall seconds of the epoch
-//        host_s == h_compute_s + h_queue_s + h_ready_s + h_stall_s
-//                  + h_recovery_s + h_checkpoint_s
-//    (pool queue-wait from the telemetry histogram delta; ready-wait is
-//    always 0 — nothing schedules the step loop — and stays only for the
-//    checkpoint frame and status-file layouts; straggle stall from the
-//    fault injector's applied-delay accumulator, recovery and checkpoint
-//    I/O timed around their blocks in run_training; compute is the
-//    residual).
+//        host_s == h_compute_s + h_queue_s + h_stall_s + h_recovery_s
+//                  + h_checkpoint_s
+//    (pool queue-wait from the telemetry histogram delta; straggle stall
+//    from the fault injector's applied-delay accumulator, recovery and
+//    checkpoint I/O timed around their blocks in run_training; compute
+//    is the residual).
 //
 // AttributionLedger::add() clamps and renormalizes the measured buckets so
 // both identities hold exactly — "buckets sum to epoch time within 1%" is
@@ -26,7 +24,7 @@
 //
 // RunStatus is the single source for *both* the heartbeat log line
 // (format_status_line) and the --status-file JSON (write_status_file), so
-// rec=/ladder=/bucket fields can never drift between the two surfaces.
+// rec=/bucket fields can never drift between the two surfaces.
 //
 // This header is sgd/report-free on purpose (telemetry links only
 // parsgd_common): run_training fills the records; parsgd_top and the
@@ -57,7 +55,6 @@ struct EpochAttribution {
   double host_s = 0;         ///< measured wall seconds
   double h_compute_s = 0;    ///< residual: host_s - all measured waits
   double h_queue_s = 0;      ///< pool queue-wait (per-worker share)
-  double h_ready_s = 0;      ///< ready-wait; always 0 (layout slot)
   double h_stall_s = 0;      ///< injected straggle actually applied
   double h_recovery_s = 0;   ///< supervisor rollback/backoff before epoch
   double h_checkpoint_s = 0; ///< checkpoint write after the epoch
@@ -71,8 +68,8 @@ struct BucketView {
 
 /// Fixed-order view of the modeled split: compute, net, stall.
 std::vector<BucketView> modeled_split(const EpochAttribution& e);
-/// Fixed-order view of the host split: compute, queue_wait, ready_wait,
-/// stall, recovery, checkpoint.
+/// Fixed-order view of the host split: compute, queue_wait, stall,
+/// recovery, checkpoint.
 std::vector<BucketView> host_split(const EpochAttribution& e);
 
 /// Accumulates per-epoch attribution records for one training run.
@@ -115,10 +112,8 @@ struct RunStatus {
   double loss = 0;
   double eta_s = -1;     ///< host-seconds to completion; < 0 = unknown
 
-  bool has_resilience = false;  ///< gates rec=/backup=/ladder= fields
+  bool has_resilience = false;  ///< gates the rec= field
   std::uint64_t recoveries = 0;
-  std::uint64_t backup_wins = 0;
-  std::string ladder;    ///< degradation-ladder level name
 
   double record_ms = 0;             ///< flight-recorder cadence; 0 = off
   std::uint64_t flight_frames = 0;  ///< frames recorded so far
@@ -132,8 +127,8 @@ struct RunStatus {
   std::vector<NodeStatus> nodes;  ///< empty for non-cluster runs
 };
 
-/// The heartbeat log line. Base fields always; " rec=.. backup=..
-/// ladder=.." when has_resilience; " frames=N" when recording; a
+/// The heartbeat log line. Base fields always; " rec=N" when
+/// has_resilience; " frames=N" when recording; a
 /// " split=bucket:NN%|..." suffix (top host buckets of the steady-state
 /// split) when has_attribution.
 std::string format_status_line(const RunStatus& s);

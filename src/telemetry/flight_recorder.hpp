@@ -28,9 +28,9 @@
 namespace parsgd::telemetry {
 
 /// One frame: cumulative run state at the sample instant. Field order is
-/// the serialization order (to_array/from_array) used by checkpoint v2.
+/// the serialization order (to_array/from_array) used by checkpoint v3.
 struct FlightSample {
-  static constexpr std::size_t kFields = 13;
+  static constexpr std::size_t kFields = 12;
 
   double t_s = 0;       ///< monotonic_seconds() at the sample
   double epoch = 0;     ///< epochs completed
@@ -41,16 +41,15 @@ struct FlightSample {
   double m_net_s = 0;
   double m_stall_s = 0;
   double h_queue_s = 0;
-  double h_ready_s = 0;
   double h_stall_s = 0;
   double h_recovery_s = 0;
   double h_checkpoint_s = 0;
   double recoveries = 0;  ///< supervisor rollbacks so far
 
   std::array<double, kFields> to_array() const {
-    return {t_s,      epoch,    loss,      modeled_s,    host_s,
-            m_net_s,  m_stall_s, h_queue_s, h_ready_s,   h_stall_s,
-            h_recovery_s, h_checkpoint_s, recoveries};
+    return {t_s,       epoch,     loss,         modeled_s,
+            host_s,    m_net_s,   m_stall_s,    h_queue_s,
+            h_stall_s, h_recovery_s, h_checkpoint_s, recoveries};
   }
   static FlightSample from_array(const std::array<double, kFields>& a) {
     FlightSample s;
@@ -62,11 +61,10 @@ struct FlightSample {
     s.m_net_s = a[5];
     s.m_stall_s = a[6];
     s.h_queue_s = a[7];
-    s.h_ready_s = a[8];
-    s.h_stall_s = a[9];
-    s.h_recovery_s = a[10];
-    s.h_checkpoint_s = a[11];
-    s.recoveries = a[12];
+    s.h_stall_s = a[8];
+    s.h_recovery_s = a[9];
+    s.h_checkpoint_s = a[10];
+    s.recoveries = a[11];
     return s;
   }
 };

@@ -205,6 +205,50 @@ TEST(ClusterNodedown, AllReduceSpeculationKeepsTrajectoryAndCounts) {
   EXPECT_EQ(recovered.node_recoveries, 1u);
 }
 
+// ---- per-step faults -----------------------------------------------------
+
+struct FaultRun {
+  std::vector<double> losses;
+  FaultCounters counters;
+};
+
+FaultRun fault_run(const std::string& spec_text) {
+  const Dataset ds =
+      generate_dataset("w8a", GeneratorOptions{.seed = 5, .scale = 100.0});
+  LogisticRegression lr(ds.d());
+  EngineContext ctx = make_engine_context(ds, lr, Layout::kSparse);
+  const std::unique_ptr<Engine> engine =
+      make_engine(parse_spec(spec_text), ctx);
+  TrainOptions t;
+  t.max_epochs = 3;
+  t.supervisor.mode = ResilienceMode::kFull;
+  const std::vector<real_t> w0 = lr.init_params(5);
+  FaultRun out;
+  out.losses =
+      run_training(*engine, lr, ctx.data, w0, real_t(0.5), t).losses;
+  out.counters = engine->fault_injector().counters();
+  return out;
+}
+
+TEST(ClusterFaults, AllReduceAppliesPerStepFaultsLikeSyncEngine) {
+  // The all-reduce trajectory runs on the cluster engine's own injector:
+  // lost updates (drop=) and sanitized poison (poison= under
+  // resilience=full) fire once per step, exactly as on sync/cpu-par.
+  const FaultRun clean = fault_run("sync/cluster/sparse:nodes=4,batch=64");
+  for (const std::string faults : {"drop=0.3", "poison=0.05"}) {
+    const FaultRun cluster =
+        fault_run("sync/cluster/sparse:nodes=4,batch=64," + faults);
+    const FaultRun plain = fault_run("sync/cpu-par/sparse:batch=64," + faults);
+    EXPECT_EQ(cluster.losses, plain.losses) << faults;
+    EXPECT_NE(cluster.losses, clean.losses) << faults;
+    EXPECT_EQ(cluster.counters.dropped, plain.counters.dropped) << faults;
+    EXPECT_EQ(cluster.counters.quarantined, plain.counters.quarantined)
+        << faults;
+    EXPECT_GT(cluster.counters.dropped + cluster.counters.quarantined, 0u)
+        << faults;
+  }
+}
+
 // ---- cost model shape ----------------------------------------------------
 
 struct CostFixture {

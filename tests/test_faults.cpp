@@ -9,7 +9,6 @@
 //   * a fully-diverged step grid degrades a Study sweep, never aborts it.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <string>
@@ -207,88 +206,53 @@ TEST(FaultInjection, StragglerAddsStalenessInDelayedGradientMode) {
   EXPECT_NE(straggled.losses, base.losses);
 }
 
-/// Test seam on the injector's straggle gate: counts the step delays the
-/// plan asks for and applies them in full, or not at all.
-class CountingGate final : public StraggleGate {
- public:
-  explicit CountingGate(bool apply) : apply_(apply) {}
-  void observe_chunk_us(double) override {}
-  double gate_straggle_us(double planned_us) override {
-    ++delays;
-    return apply_ ? planned_us : 0.0;
-  }
-  std::size_t delays = 0;
-
- private:
-  bool apply_;
-};
-
 TEST(FaultInjection, StragglerDelayIsExecutionOnlyOnEveryStepLoop) {
-  // The straggler delay before each mini-batch step — the sync loop, the
-  // Hogbatch units and the PS units — moves wall time only: a run that
-  // sleeps through every planned delay and one whose gate drops them all
-  // have the same losses and modeled seconds. The decision is keyed by
-  // the run-global step count, so some steps straggle and some do not.
-  // (The async heads' straggler plan also stretches snapshot staleness,
-  // a trajectory effect by design; both runs share it.)
+  // The straggler delay before each update — the sync loop, the
+  // all-reduce cluster's shared loop, the Hogbatch units and the PS
+  // units — moves wall time only. Every straggling step sleeps 50us x
+  // units, so applied_straggle_us() counts the delays; the decision is
+  // keyed by the run-global step count, so some steps straggle and some
+  // do not. The sync rows have no staleness semantics and match their
+  // straggler-free run outright. The async heads' straggler plan also
+  // stretches snapshot staleness, a trajectory effect by design, so they
+  // are pinned run to run instead.
   Fixture f("w8a", 100.0);
   ThreadPool pool(2);
   f.ctx.pool = &pool;
   constexpr std::size_t kEpochs = 3;
-  for (const char* spec : {
-           "sync/cpu-par/sparse:batch=256,straggler=0.5",
-           "async/cpu-par/sparse:batch=64,straggler=0.5",
-           "async/cluster/sparse:nodes=4,batch=64,straggler=0.5",
+  struct Row {
+    const char* spec;
+    const char* reference;  ///< straggler-free spec; null = spec itself
+  };
+  for (const Row& row : {
+           Row{"sync/cpu-par/sparse:batch=256,straggler=0.5",
+               "sync/cpu-par/sparse:batch=256"},
+           Row{"sync/cluster/sparse:nodes=4,batch=64,straggler=0.5",
+               "sync/cluster/sparse:nodes=4,batch=64"},
+           Row{"async/cpu-par/sparse:batch=64,straggler=0.5", nullptr},
+           Row{"async/cluster/sparse:nodes=4,batch=64,straggler=0.5",
+               nullptr},
        }) {
-    const EngineSpec parsed = parse_spec(spec);
-    const auto run = [&](CountingGate& gate, FaultCounters& c) {
-      const std::unique_ptr<Engine> engine = make_engine(parsed, f.ctx);
-      engine->fault_injector().set_straggle_gate(&gate);
-      const RunResult r = run_training(*engine, f.lr, f.ctx.data, f.w0,
-                                       real_t(0.5), epochs(kEpochs));
-      c = engine->fault_injector().counters();
-      return r;
-    };
-    CountingGate slept(true), skipped(false);
-    FaultCounters c_slept, c_skipped;
-    const RunResult a = run(slept, c_slept);
-    const RunResult b = run(skipped, c_skipped);
-    EXPECT_EQ(a.losses, b.losses) << spec;
-    EXPECT_EQ(a.epoch_seconds, b.epoch_seconds) << spec;
-    EXPECT_EQ(c_slept.stragglers, c_skipped.stragglers) << spec;
-    EXPECT_EQ(slept.delays, skipped.delays) << spec;
+    const EngineSpec parsed = parse_spec(row.spec);
+    const std::unique_ptr<Engine> engine = make_engine(parsed, f.ctx);
+    const RunResult r = run_training(*engine, f.lr, f.ctx.data, f.w0,
+                                     real_t(0.5), epochs(kEpochs));
+    const FaultCounters c = engine->fault_injector().counters();
+    const double delays =
+        engine->fault_injector().applied_straggle_us() /
+        (50.0 * static_cast<double>(parsed.faults.straggler_units));
+    EXPECT_EQ(delays, std::round(delays)) << row.spec;
     const std::size_t steps =
         kEpochs * ((f.ds.n() + parsed.batch - 1) / parsed.batch);
-    EXPECT_GT(slept.delays, 0u) << spec;
-    EXPECT_LT(slept.delays, steps) << spec;
-    EXPECT_GE(c_slept.stragglers, slept.delays) << spec;
+    EXPECT_GT(delays, 0.0) << row.spec;
+    EXPECT_LT(delays, static_cast<double>(steps)) << row.spec;
+    EXPECT_GE(static_cast<double>(c.stragglers), delays) << row.spec;
+    const RunResult ref =
+        f.run(row.reference != nullptr ? row.reference : row.spec,
+              real_t(0.5), epochs(kEpochs));
+    EXPECT_EQ(r.losses, ref.losses) << row.spec;
+    EXPECT_EQ(r.epoch_seconds, ref.epoch_seconds) << row.spec;
   }
-  // The sync loop has no staleness semantics: its trajectory matches the
-  // straggler-free run outright.
-  FaultCounters c;
-  EXPECT_EQ(f.run("sync/cpu-par/sparse:batch=256,straggler=0.5",
-                  real_t(0.5), epochs(kEpochs), &c)
-                .losses,
-            f.run("sync/cpu-par/sparse:batch=256", real_t(0.5),
-                  epochs(kEpochs))
-                .losses);
-  EXPECT_GT(c.stragglers, 0u);
-}
-
-TEST(ThreadPoolHook, RunsBeforeEveryChunkAndClears) {
-  ThreadPool pool(4);
-  std::atomic<std::size_t> hooked{0};
-  std::atomic<std::size_t> done{0};
-  pool.set_chunk_hook([&](std::size_t) { hooked.fetch_add(1); });
-  pool.parallel_for(1000, [&](std::size_t lo, std::size_t hi) {
-    done.fetch_add(hi - lo);
-  });
-  EXPECT_EQ(done.load(), 1000u);
-  const std::size_t seen = hooked.load();
-  EXPECT_GT(seen, 0u);
-  pool.set_chunk_hook(nullptr);
-  pool.parallel_for(1000, [](std::size_t, std::size_t) {});
-  EXPECT_EQ(hooked.load(), seen);  // cleared hook never fires again
 }
 
 // ------------------------------------------------- divergence recovery

@@ -7,6 +7,7 @@
 // core contract that attribution observes a run without perturbing it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -75,7 +76,6 @@ TEST(FlightRecorder, SampleArrayRoundTrips) {
   s.m_net_s = 0.75;
   s.m_stall_s = 0.125;
   s.h_queue_s = 0.01;
-  s.h_ready_s = 0.02;
   s.h_stall_s = 0.03;
   s.h_recovery_s = 0.04;
   s.h_checkpoint_s = 0.05;
@@ -153,7 +153,6 @@ TEST(FlightRecorder, ConcurrentReadersNeverSeeTornFrames) {
     s.m_net_s = fill;
     s.m_stall_s = fill;
     s.h_queue_s = fill;
-    s.h_ready_s = fill;
     s.h_stall_s = fill;
     s.h_recovery_s = fill;
     s.h_checkpoint_s = fill;
@@ -177,14 +176,14 @@ TEST(AttributionLedger, NormalizedRecordsSumExactly) {
   e.m_stall_s = 0.05;
   e.host_s = 0.5;
   e.h_queue_s = 0.1;
-  e.h_ready_s = 0.05;
+  e.h_recovery_s = 0.05;
   e.h_stall_s = -0.5;  // raw measurement noise: clamped at 0
   ledger.add(e);
   const EpochAttribution n = ledger.last();
   EXPECT_DOUBLE_EQ(n.m_compute_s + n.m_net_s + n.m_stall_s, n.modeled_s);
   EXPECT_DOUBLE_EQ(n.m_compute_s, 0.7);
   EXPECT_DOUBLE_EQ(n.h_stall_s, 0.0);
-  EXPECT_DOUBLE_EQ(n.h_compute_s + n.h_queue_s + n.h_ready_s + n.h_stall_s +
+  EXPECT_DOUBLE_EQ(n.h_compute_s + n.h_queue_s + n.h_stall_s +
                        n.h_recovery_s + n.h_checkpoint_s,
                    n.host_s);
 }
@@ -197,12 +196,12 @@ TEST(AttributionLedger, OvershootScalesBucketsDownProportionally) {
   EpochAttribution e;
   e.host_s = 1.0;
   e.h_queue_s = 1.5;
-  e.h_ready_s = 0.5;
+  e.h_stall_s = 0.5;
   ledger.add(e);
   const EpochAttribution n = ledger.last();
   EXPECT_DOUBLE_EQ(n.h_compute_s, 0.0);
   EXPECT_DOUBLE_EQ(n.h_queue_s, 0.75);
-  EXPECT_DOUBLE_EQ(n.h_ready_s, 0.25);
+  EXPECT_DOUBLE_EQ(n.h_stall_s, 0.25);
 }
 
 TEST(AttributionLedger, MeanAndTotalFoldEpochs) {
@@ -232,13 +231,12 @@ TEST(AttributionLedger, SplitViewsHaveFixedBucketOrder) {
   EXPECT_STREQ(modeled[1].name, "net");
   EXPECT_STREQ(modeled[2].name, "stall");
   const auto host = telemetry::host_split(e);
-  ASSERT_EQ(host.size(), 6u);
+  ASSERT_EQ(host.size(), 5u);
   EXPECT_STREQ(host[0].name, "compute");
   EXPECT_STREQ(host[1].name, "queue_wait");
-  EXPECT_STREQ(host[2].name, "ready_wait");
-  EXPECT_STREQ(host[3].name, "stall");
-  EXPECT_STREQ(host[4].name, "recovery");
-  EXPECT_STREQ(host[5].name, "checkpoint");
+  EXPECT_STREQ(host[2].name, "stall");
+  EXPECT_STREQ(host[3].name, "recovery");
+  EXPECT_STREQ(host[4].name, "checkpoint");
 }
 
 // ---------------------------------------------------- the status surfaces
@@ -256,11 +254,8 @@ TEST(RunStatus, StatusLineMatchesLegacyHeartbeatFormat) {
             "async/cpu-par/hogwild epoch 3/10 loss=0.5 eta=2s");
   s.has_resilience = true;
   s.recoveries = 1;
-  s.backup_wins = 2;
-  s.ladder = "full";
   EXPECT_EQ(telemetry::format_status_line(s),
-            "async/cpu-par/hogwild epoch 3/10 loss=0.5 eta=2s"
-            " rec=1 backup=2 ladder=full");
+            "async/cpu-par/hogwild epoch 3/10 loss=0.5 eta=2s rec=1");
 }
 
 TEST(RunStatus, StatusLineAppendsFramesAndTopBuckets) {
@@ -311,7 +306,7 @@ TEST(RunStatus, StatusFileRoundTripsThroughJsonParser) {
   buf << is.rdbuf();
   const report::Json doc = report::parse_json(buf.str());
 
-  EXPECT_EQ(doc.at("schema").as_number(), 1.0);
+  EXPECT_EQ(doc.at("schema").as_number(), 2.0);
   EXPECT_EQ(doc.at("engine").as_string(), s.engine);
   EXPECT_EQ(doc.at("epoch").as_number(), 5.0);
   EXPECT_EQ(doc.at("loss").as_number(), 12.5);
@@ -377,8 +372,8 @@ void expect_exact_sums(const RunResult& r, std::size_t n_epochs) {
   ASSERT_EQ(r.attribution.size(), n_epochs);
   for (const EpochAttribution& e : r.attribution) {
     const double m_sum = e.m_compute_s + e.m_net_s + e.m_stall_s;
-    const double h_sum = e.h_compute_s + e.h_queue_s + e.h_ready_s +
-                         e.h_stall_s + e.h_recovery_s + e.h_checkpoint_s;
+    const double h_sum = e.h_compute_s + e.h_queue_s + e.h_stall_s +
+                         e.h_recovery_s + e.h_checkpoint_s;
     // "Within 1%" is the acceptance floor; normalization makes the sums
     // exact up to float rounding.
     EXPECT_NEAR(m_sum, e.modeled_s, 1e-9 * std::max(1.0, e.modeled_s));
@@ -413,7 +408,7 @@ TEST(Attribution, ClusterRunsExposeNetworkBuckets) {
 
 // ------------------------------------------------- checkpoint persistence
 
-TEST(Checkpoint, V2RoundTripsFlightWindow) {
+TEST(Checkpoint, V3RoundTripsFlightWindow) {
   TrainCheckpoint ck;
   ck.next_epoch = 3;
   ck.w = {real_t(1), real_t(2)};
@@ -438,8 +433,8 @@ TEST(Checkpoint, V2RoundTripsFlightWindow) {
 }
 
 TEST(Checkpoint, V1FilesStillLoadWithEmptyWindow) {
-  // Fabricate a v1 file from a v2 one: patch the version word down and
-  // drop the appended frame-count tail. The reader must accept it and
+  // Fabricate a v1 file from a current one: patch the version word down
+  // and drop the appended frame-count tail. The reader must accept it and
   // come back with an empty flight window.
   TrainCheckpoint ck;
   ck.next_epoch = 2;
@@ -466,6 +461,70 @@ TEST(Checkpoint, V1FilesStillLoadWithEmptyWindow) {
   EXPECT_EQ(back.next_epoch, 2u);
   EXPECT_EQ(back.partial.losses, ck.partial.losses);
   EXPECT_TRUE(back.flight.empty());
+}
+
+/// A checkpoint with two distinct flight frames, saved to `path`; returns
+/// the file's bytes.
+std::string save_two_frame_checkpoint(const std::string& path,
+                                      TrainCheckpoint& ck) {
+  ck.next_epoch = 2;
+  ck.w = {real_t(7)};
+  ck.partial.losses = {1, 2};
+  ck.partial.epoch_seconds = {1, 1};
+  for (int i = 0; i < 2; ++i) {
+    std::array<double, FlightSample::kFields> a{};
+    for (std::size_t k = 0; k < a.size(); ++k) a[k] = 10.0 * i + k + 1;
+    ck.flight.push_back(FlightSample::from_array(a));
+  }
+  save_checkpoint(path, ck);
+  std::ifstream is(path, std::ios::binary);
+  std::stringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+TEST(Checkpoint, V2FilesLoadWithReadySlotDropped) {
+  // Fabricate a v2 file from a v3 one: patch the version word and widen
+  // every frame with the v2 ready-wait slot (index 8). The reader must
+  // skip that slot and come back with the v3 frames.
+  TrainCheckpoint ck;
+  const std::string path = testing::TempDir() + "/parsgd_ck_v2.bin";
+  std::string bytes = save_two_frame_checkpoint(path, ck);
+  const std::uint32_t v2 = 2;
+  bytes.replace(4, 4, reinterpret_cast<const char*>(&v2), 4);
+  constexpr std::size_t kFrameBytes = FlightSample::kFields * sizeof(double);
+  const std::size_t frames_at = bytes.size() - 2 * kFrameBytes;
+  std::string widened = bytes.substr(0, frames_at);
+  const double ready = 99.0;
+  for (std::size_t f = 0; f < 2; ++f) {
+    const std::string frame = bytes.substr(frames_at + f * kFrameBytes,
+                                           kFrameBytes);
+    widened += frame.substr(0, 8 * sizeof(double));
+    widened.append(reinterpret_cast<const char*>(&ready), sizeof(double));
+    widened += frame.substr(8 * sizeof(double));
+  }
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << widened;
+  }
+  const TrainCheckpoint back = load_checkpoint(path);
+  EXPECT_EQ(back.partial.losses, ck.partial.losses);
+  ASSERT_EQ(back.flight.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(back.flight[i].to_array(), ck.flight[i].to_array());
+  }
+}
+
+TEST(Checkpoint, TruncatedV3FrameFailsWithCheckError) {
+  TrainCheckpoint ck;
+  const std::string path = testing::TempDir() + "/parsgd_ck_trunc.bin";
+  std::string bytes = save_two_frame_checkpoint(path, ck);
+  bytes.resize(bytes.size() - sizeof(double));  // last frame loses a field
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  EXPECT_THROW(load_checkpoint(path), CheckError);
 }
 
 TEST(Checkpoint, CrashPostMortemRecoversFlightWindow) {

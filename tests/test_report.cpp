@@ -63,20 +63,15 @@ RunReport sample_report() {
   e.series_loss = {0.6931, 0.52, 0.41};
   e.series_seconds = {2.0, 2.0, 2.0};
   e.resilience.recoveries = 2;
-  e.resilience.deadline_misses = 5;
-  e.resilience.backup_wins = 4;
-  e.resilience.ladder_down = 1;
   e.resilience.quarantined = 3;
   e.resilience.checkpoints = 6;
-  e.resilience.saved_straggle_us = 1234.5;
-  e.resilience.final_level = "pooled";
+  e.resilience.node_recoveries = 1;
   e.attribution.epochs = 3;
   e.attribution.m_compute_s = 4.5;
   e.attribution.m_net_s = 0.9;
   e.attribution.m_stall_s = 0.3;
-  e.attribution.h_compute_s = 0.6;
+  e.attribution.h_compute_s = 0.65;
   e.attribution.h_queue_s = 0.15;
-  e.attribution.h_ready_s = 0.05;
   e.attribution.h_stall_s = 0.1;
   e.attribution.h_recovery_s = 0.02;
   e.attribution.h_checkpoint_s = 0.08;
@@ -176,10 +171,9 @@ TEST(ReportJson, ResilienceRoundTripsAndAbsenceStaysEmpty) {
   ASSERT_NE(with, nullptr);
   EXPECT_TRUE(with->resilience.any());
   EXPECT_DOUBLE_EQ(with->resilience.recoveries, 2);
-  EXPECT_DOUBLE_EQ(with->resilience.deadline_misses, 5);
-  EXPECT_DOUBLE_EQ(with->resilience.backup_wins, 4);
-  EXPECT_DOUBLE_EQ(with->resilience.saved_straggle_us, 1234.5);
-  EXPECT_EQ(with->resilience.final_level, "pooled");
+  EXPECT_DOUBLE_EQ(with->resilience.quarantined, 3);
+  EXPECT_DOUBLE_EQ(with->resilience.checkpoints, 6);
+  EXPECT_DOUBLE_EQ(with->resilience.node_recoveries, 1);
   // Entries without a slice (and pre-resilience reports) read back all
   // zero: the "resilience" object is simply absent from their JSON.
   const Entry* without = b.find("LR/w8a/async/cpu-par");
@@ -346,7 +340,7 @@ TEST(ReportCompare, ResilienceIsIgnoredEntirely) {
   RunReport cur = sample_report();
   cur.entries[0].resilience = {};
   cur.entries[1].resilience.recoveries = 99;
-  cur.entries[1].resilience.final_level = "scalar";
+  cur.entries[1].resilience.quarantined = 7;
   EXPECT_TRUE(report::compare_reports(base, cur).ok());
 }
 
@@ -438,9 +432,8 @@ TEST(ReportAttribution, SliceRoundTripsAndAbsenceStaysEmpty) {
   EXPECT_EQ(a.m_compute_s, 4.5);
   EXPECT_EQ(a.m_net_s, 0.9);
   EXPECT_EQ(a.m_stall_s, 0.3);
-  EXPECT_EQ(a.h_compute_s, 0.6);
+  EXPECT_EQ(a.h_compute_s, 0.65);
   EXPECT_EQ(a.h_queue_s, 0.15);
-  EXPECT_EQ(a.h_ready_s, 0.05);
   EXPECT_EQ(a.h_stall_s, 0.1);
   EXPECT_EQ(a.h_recovery_s, 0.02);
   EXPECT_EQ(a.h_checkpoint_s, 0.08);
@@ -448,6 +441,29 @@ TEST(ReportAttribution, SliceRoundTripsAndAbsenceStaysEmpty) {
   EXPECT_NEAR(a.host_total(), 1.0, 1e-12);
   // The unreached entry carries no ledger; the slice stays absent.
   EXPECT_FALSE(back.entries[1].attribution.any());
+}
+
+TEST(ReportAttribution, LegacyReadyAndLadderKeysAreAcceptedOnRead) {
+  // Older reports carry a host ready_s bucket and the speculation/ladder
+  // resilience counters. The reader accepts and ignores them.
+  std::string text = dump(sample_report());
+  const auto insert_before = [&](const std::string& key,
+                                 const std::string& legacy) {
+    const std::size_t at = text.find("\"" + key + "\"");
+    ASSERT_NE(at, std::string::npos) << key;
+    text.insert(at, legacy);
+  };
+  insert_before("queue_s", "\"ready_s\": 0.05, ");
+  insert_before("quarantined",
+                "\"backup_wins\": 4, \"ladder_down\": 1, "
+                "\"final_level\": \"scalar\", ");
+  std::istringstream is(text);
+  const RunReport back = report::read_report(is);
+  const Entry& e = back.entries[0];
+  EXPECT_EQ(e.attribution.h_queue_s, 0.15);
+  EXPECT_NEAR(e.attribution.host_total(), 1.0, 1e-12);
+  EXPECT_DOUBLE_EQ(e.resilience.recoveries, 2);
+  EXPECT_DOUBLE_EQ(e.resilience.quarantined, 3);
 }
 
 TEST(ReportAttribution, CompareIgnoresSliceEntirely) {

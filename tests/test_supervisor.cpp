@@ -1,17 +1,13 @@
 // TrainingSupervisor (DESIGN.md §16): the policy presets and spec
-// grammar, the chunk/epoch deadline math of the speculation gate, the
-// backoff/ladder state machine, and the end-to-end guarantees under
-// injected faults:
+// grammar, the epoch-deadline math, the backoff state machine, and the
+// end-to-end guarantees under injected faults:
 //   * resilience=off and full-with-no-faults trajectories are
 //     bit-identical to the plain loop,
-//   * straggler speculation clips injected delay without perturbing the
-//     trajectory (execution-only, backed up past the deadline),
 //   * poisoned updates quarantine under sanitization instead of
 //     NaN-ing the weights,
 //   * a hang is detected by the epoch deadline and retried with the step
 //     size unchanged — bit-identical to the fault-free run,
-//   * repeated numeric failures walk the degradation ladder down to the
-//     scalar rung and exhaust the bounded recovery budget,
+//   * repeated numeric failures exhaust the bounded recovery budget,
 //   * time-cadence auto-checkpoints crash-resume bit-identically on the
 //     mini-batch step loop.
 #include <gtest/gtest.h>
@@ -111,53 +107,7 @@ TEST(SupervisorPolicy, PresetsMatchTheContract) {
   EXPECT_FALSE(TrainingSupervisor(off, nullptr).active());
 }
 
-// ------------------------------------------------------- speculation gate
-
-TEST(SupervisorGate, DeadlineArmsFromEwmaAndClipsStragglers) {
-  TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kFull),
-                         nullptr);
-  // Unarmed gate passes every delay through untouched.
-  EXPECT_DOUBLE_EQ(sup.chunk_deadline_us(), 0.0);
-  EXPECT_DOUBLE_EQ(sup.gate_straggle_us(500.0), 500.0);
-  EXPECT_EQ(sup.stats().deadline_misses, 0u);
-
-  // First observation seeds the EWMA; deadline = floor 25 + 4 x EWMA.
-  sup.observe_chunk_us(100.0);
-  EXPECT_DOUBLE_EQ(sup.chunk_ewma_us(), 100.0);
-  EXPECT_DOUBLE_EQ(sup.chunk_deadline_us(), 425.0);
-
-  // Within deadline: untouched, no miss.
-  EXPECT_DOUBLE_EQ(sup.gate_straggle_us(400.0), 400.0);
-  EXPECT_EQ(sup.stats().deadline_misses, 0u);
-
-  // Past deadline: the backup wins; cost capped at deadline + one typical
-  // chunk, the clipped remainder is accounted as saved.
-  EXPECT_DOUBLE_EQ(sup.gate_straggle_us(1000.0), 525.0);
-  EXPECT_EQ(sup.stats().deadline_misses, 1u);
-  EXPECT_EQ(sup.stats().backup_wins, 1u);
-  EXPECT_DOUBLE_EQ(sup.stats().saved_straggle_us, 475.0);
-
-  // EWMA blends with weight 0.25.
-  sup.observe_chunk_us(200.0);
-  EXPECT_DOUBLE_EQ(sup.chunk_ewma_us(), 125.0);
-  EXPECT_DOUBLE_EQ(sup.chunk_deadline_us(), 25.0 + 4 * 125.0);
-}
-
-TEST(SupervisorGate, RejectsOutlierObservations) {
-  TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kFull),
-                         nullptr);
-  sup.observe_chunk_us(50.0);
-  // Above the absolute cap: a straggler sleep / epoch gap, not evidence.
-  sup.observe_chunk_us(30000.0);
-  EXPECT_DOUBLE_EQ(sup.chunk_ewma_us(), 50.0);
-  // Below the cap but above 32x the established EWMA: same.
-  sup.observe_chunk_us(50.0 * 35);
-  EXPECT_DOUBLE_EQ(sup.chunk_ewma_us(), 50.0);
-  // Nonpositive gaps (clock went backwards) are ignored too.
-  sup.observe_chunk_us(0.0);
-  sup.observe_chunk_us(-5.0);
-  EXPECT_DOUBLE_EQ(sup.chunk_ewma_us(), 50.0);
-}
+// --------------------------------------------------------- epoch deadline
 
 TEST(SupervisorGate, EpochDeadlineArmsAfterFirstObservation) {
   TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kFull),
@@ -175,7 +125,7 @@ TEST(SupervisorGate, EpochDeadlineArmsAfterFirstObservation) {
   EXPECT_DOUBLE_EQ(off.epoch_deadline_s(), 0.0);
 }
 
-// ------------------------------------------------------- backoff + ladder
+// ---------------------------------------------------------------- backoff
 
 TEST(SupervisorBackoff, FullModeEscalatesAndJitters) {
   SupervisorOptions o = supervisor_options_for(ResilienceMode::kFull);
@@ -201,42 +151,6 @@ TEST(SupervisorBackoff, FullModeEscalatesAndJitters) {
   EXPECT_LE(m, 0.5 * 1.1);
 }
 
-TEST(SupervisorLadder, DegradesPerFailureAndPromotesAfterCleanStreak) {
-  SupervisorOptions o = supervisor_options_for(ResilienceMode::kFull);
-  o.backoff_jitter = 0;
-  ASSERT_EQ(o.promote_after, 3u);
-  TrainingSupervisor sup(o, nullptr);
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  sup.on_epoch_failed(true, 0);
-  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  sup.on_epoch_failed(true, 0);  // the ladder has a bottom rung
-  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  EXPECT_EQ(sup.stats().ladder_down, 1u);
-
-  // A promote_after-long clean streak buys the rung back.
-  sup.on_epoch_clean();
-  sup.on_epoch_clean();
-  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  sup.on_epoch_clean();
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  for (int i = 0; i < 3; ++i) sup.on_epoch_clean();
-  EXPECT_EQ(sup.level(), DegradeLevel::kNone);
-  EXPECT_EQ(sup.stats().ladder_up, 1u);
-  // A failure after re-promotion degrades again from the top.
-  sup.on_epoch_failed(true, 9);
-  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  EXPECT_EQ(sup.stats().ladder_down, 2u);
-}
-
-TEST(SupervisorLadder, ForceLevelIsUncountedOverride) {
-  TrainingSupervisor sup(supervisor_options_for(ResilienceMode::kFull),
-                         nullptr);
-  sup.force_level(DegradeLevel::kScalar);
-  EXPECT_EQ(sup.level(), DegradeLevel::kScalar);
-  EXPECT_EQ(sup.stats().ladder_down, 0u);
-  EXPECT_EQ(sup.stats().final_level, DegradeLevel::kScalar);
-}
-
 // ------------------------------------------------------------ integration
 
 TEST(SupervisorTraining, FullModeWithoutFaultsIsBitIdentical) {
@@ -256,28 +170,6 @@ TEST(SupervisorTraining, FullModeWithoutFaultsIsBitIdentical) {
   const RunResult async_on =
       f.run("async/cpu-par/sparse", real_t(0.1), full_epochs(5));
   EXPECT_EQ(async_on.losses, async_off.losses);
-}
-
-TEST(SupervisorTraining, StragglerSpeculationIsExecutionOnly) {
-  // Injected straggles planned at 50us x 200 units always blow the chunk
-  // deadline once the EWMA has armed (the observation cap bounds the EWMA
-  // at 2ms, so the deadline tops out at 25us + 4 x 2000us < 10ms); the
-  // backup caps their cost. The trajectory — losses and modeled seconds —
-  // must not move at all: speculation is wall-clock-only by construction.
-  Fixture f("w8a", 100.0);
-  ThreadPool pool(4);
-  f.ctx.pool = &pool;
-  const std::string plan =
-      "sync/cpu-par/sparse:batch=256,straggler=0.3@200";
-  FaultCounters c;
-  const RunResult off = f.run(plan, real_t(0.5), epochs(6));
-  const RunResult on = f.run(plan, real_t(0.5), full_epochs(6), &c);
-  EXPECT_EQ(on.losses, off.losses);
-  EXPECT_EQ(on.epoch_seconds, off.epoch_seconds);
-  EXPECT_GT(c.stragglers, 0u);
-  EXPECT_GT(on.resilience.backup_wins, 0u);
-  EXPECT_GT(on.resilience.saved_straggle_us, 0.0);
-  EXPECT_GE(on.resilience.deadline_misses, on.resilience.backup_wins);
 }
 
 TEST(SupervisorTraining, PoisonQuarantinesUnderFullSanitization) {
@@ -330,11 +222,10 @@ TEST(SupervisorTraining, HangRecoversViaEpochDeadlineBitIdentically) {
   EXPECT_EQ(r.resilience.recoveries, r.recoveries.size());
 }
 
-TEST(SupervisorTraining, NumericFailuresWalkLadderAndExhaustBudget) {
+TEST(SupervisorTraining, NumericFailuresExhaustBudget) {
   // A step size so large that no amount of backoff rescues it: the
-  // supervisor spends its whole budget, the ladder bottoms out at the
-  // scalar rung, and the run is finally reported diverged like the
-  // unguarded loop.
+  // supervisor spends its whole budget and the run is finally reported
+  // diverged like the unguarded loop.
   Fixture f("covtype");
   const RunResult r =
       f.run("sync/cpu-seq/sparse", real_t(1e30), full_epochs(20));
@@ -343,9 +234,6 @@ TEST(SupervisorTraining, NumericFailuresWalkLadderAndExhaustBudget) {
       supervisor_options_for(ResilienceMode::kFull).recovery_budget;
   EXPECT_EQ(r.recoveries.size(), budget);
   EXPECT_EQ(r.resilience.recoveries, budget);
-  EXPECT_EQ(r.resilience.ladder_down, 1u);
-  EXPECT_EQ(r.resilience.ladder_up, 0u);
-  EXPECT_EQ(r.resilience.final_level, DegradeLevel::kScalar);
   EXPECT_LT(r.alpha_scale, 1.0);
 }
 

@@ -341,6 +341,31 @@ TEST(TelemetryTrajectory, EngineRunsFeedTheRegistry) {
   ASSERT_NE(snap.find("async.write_conflicts"), nullptr);
 }
 
+TEST(TelemetryTrajectory, OnlyFullBatchSyncEpochsInstrumentThePool) {
+  // The mini-batch step loop runs no pool work, so a metrics run of it
+  // registers no pool.* instruments; the full-batch update runs on the
+  // pool and attaches the session for its duration.
+  Fixture f("w8a");
+  const auto run = [&](const char* text) {
+    auto session =
+        std::make_shared<TelemetrySession>(TelemetryMode::kMetrics);
+    EngineContext ctx = f.ctx;
+    ctx.telemetry = session;
+    const std::unique_ptr<Engine> engine =
+        make_engine(parse_spec(text), ctx);
+    TrainOptions t;
+    t.max_epochs = 3;
+    run_training(*engine, f.lr, ctx.data, f.w0, real_t(0.5), t);
+    return session->metrics().snapshot();
+  };
+  const telemetry::MetricsSnapshot minibatch =
+      run("sync/cpu-par/sparse:batch=64");
+  EXPECT_EQ(minibatch.find("pool.jobs"), nullptr);
+  ASSERT_NE(minibatch.find("sync.updates"), nullptr);
+  EXPECT_GT(minibatch.find("sync.updates")->value, 0.0);
+  EXPECT_NE(run("sync/cpu-par/sparse").find("pool.jobs"), nullptr);
+}
+
 // ---- exporter golden files + concurrency ---------------------------------
 
 TEST(TelemetryExport, EmptyRegistryGoldenFiles) {

@@ -94,7 +94,7 @@ double print_split(const Json& split, double total) {
 /// accessors) on any schema violation — --once turns that into exit 1.
 void render(const Json& doc) {
   const int schema = static_cast<int>(doc.at("schema").as_number());
-  if (schema != 1) {
+  if (schema != 2) {
     throw std::runtime_error("unsupported status schema " +
                              std::to_string(schema));
   }
@@ -110,9 +110,8 @@ void render(const Json& doc) {
   std::printf("\n");
 
   if (const Json* res = doc.find("resilience")) {
-    std::printf("  resilience: %.0f recoveries, %.0f backup wins, ladder %s\n",
-                get_num(*res, "recoveries"), get_num(*res, "backup_wins"),
-                res->at("ladder").as_string().c_str());
+    std::printf("  resilience: %.0f recoveries\n",
+                res->at("recoveries").as_number());
   }
   if (const Json* rec = doc.find("record")) {
     std::printf("  flight recorder: %.0f frame(s) @ %gms cadence\n",
