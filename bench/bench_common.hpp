@@ -128,35 +128,6 @@ inline void add_dataset(report::RunReport& rep, const Dataset& ds) {
   rep.datasets.push_back(report::DatasetInfo::from(ds));
 }
 
-/// Report entry from one study configuration. ttc[0] is the 10% level,
-/// ttc[3] the 1% level (kConvergenceLevels).
-inline report::Entry entry_from(std::string label, Task task,
-                                const std::string& dataset, Update update,
-                                Arch arch, const ConfigResult& r) {
-  report::Entry e;
-  e.label = std::move(label);
-  e.task = to_string(task);
-  e.dataset = dataset;
-  e.spec = std::string(to_string(update)) + "/" + to_string(arch);
-  e.alpha = r.alpha;
-  e.diverged = r.diverged;
-  e.axes.sec_per_epoch = r.sec_per_epoch;
-  if (r.run) {
-    e.axes.modeled_total_seconds = r.run->total_seconds();
-    e.series_loss = r.run->losses;
-    e.series_seconds = r.run->epoch_seconds;
-  }
-  if (r.ttc[0].reached) {
-    e.axes.epochs_to_10pct = static_cast<double>(r.ttc[0].epochs);
-    e.axes.ttc_10pct = r.ttc[0].seconds;
-  }
-  if (r.ttc[3].reached) {
-    e.axes.epochs_to_1pct = static_cast<double>(r.ttc[3].epochs);
-    e.axes.ttc_1pct = r.ttc[3].seconds;
-  }
-  return e;
-}
-
 /// Stamps host time + telemetry into `rep` and writes it as
 /// BENCH_<name>.json (--report-dir overrides the directory; --no-report
 /// skips the file). Returns the written path or "".

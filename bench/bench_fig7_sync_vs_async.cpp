@@ -79,12 +79,14 @@ int main(int argc, char** argv) {
 
       add_dataset(rep, study.dataset(task, ds));
       const std::string key = std::string(to_string(task)) + "/" + ds;
-      rep.add_entry(entry_from(key + "/sync/gpu", task, ds, Update::kSync,
-                               Arch::kGpu, sync_gpu));
+      rep.add_entry(report::Entry::from(key + "/sync/gpu", task, ds,
+                                        Update::kSync, Arch::kGpu,
+                                        sync_gpu));
       const Arch best_arch =
           &async_cpu == &async_par ? Arch::kCpuPar : Arch::kCpuSeq;
-      report::Entry e = entry_from(key + "/async/cpu-best", task, ds,
-                                   Update::kAsync, best_arch, async_cpu);
+      report::Entry e = report::Entry::from(key + "/async/cpu-best", task,
+                                            ds, Update::kAsync, best_arch,
+                                            async_cpu);
       e.extras = {{"sync_wins", ts < ta ? 1.0 : 0.0}};
       rep.add_entry(std::move(e));
     }

@@ -1,22 +1,15 @@
-// The paper's future-work directions, measured (§VI: low-precision is in
-// bench_ablation_models; here: matrix factorization and heterogeneous
-// CPU+GPU execution).
-//
-//  1. Matrix factorization with Hogwild SGD (the cuMF-SGD setting): RMSE
-//     convergence and row-conflict rates vs worker count — the bipartite
-//     conflict structure that makes MF the Hogwild-friendliest task.
-//  2. Heterogeneous synchronous SGD: sweep the GPU work share phi and
-//     show the combined epoch beating both single devices at the
-//     equalizing split.
+// The paper's future-work direction of heterogeneous CPU+GPU execution
+// (§VI; the authors' follow-up, arXiv:2004.08771), measured; low
+// precision is in bench_ablation_models. Heterogeneous synchronous SGD:
+// sweep the GPU work share phi and show the combined epoch beating both
+// single devices at the equalizing split.
 //
 //   ./bench_future_work [--scale=200]
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "common/format.hpp"
 #include "data/generator.hpp"
 #include "models/linear.hpp"
-#include "models/matrix_fact.hpp"
 #include "sgd/heterogeneous.hpp"
 #include "sgd/spec.hpp"
 
@@ -27,45 +20,8 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 200.0);
 
-  // ---- 1. Matrix factorization ----
-  std::cout << "=== future work 1: Hogwild matrix factorization ===\n\n";
-  {
-    const Ratings data = generate_ratings(/*users=*/400, /*items=*/300,
-                                          /*true_rank=*/8, /*density=*/0.08,
-                                          /*noise=*/0.05, /*seed=*/42);
-    std::printf("ratings: %zu users x %zu items, %s observed entries\n\n",
-                data.users, data.items, format_count(data.size()).c_str());
-    TableWriter t({"workers", "epochs to RMSE<0.15", "conflicts/epoch",
-                   "conflict rate/update"});
-    for (const int workers : {1, 8, 56, 224}) {
-      MatrixFactorizationOptions opts;
-      opts.rank = 16;
-      MatrixFactorization mf(data.users, data.items, opts);
-      Rng rng(7);
-      CostBreakdown cost;
-      std::size_t epochs = 0;
-      for (; epochs < 200; ++epochs) {
-        cost = mf.hogwild_epoch(data, real_t(0.05), workers, rng);
-        if (mf.rmse(data) < 0.15) {
-          ++epochs;
-          break;
-        }
-      }
-      t.add_row({std::to_string(workers),
-                 epochs < 200 ? std::to_string(epochs) : "inf",
-                 format_count(static_cast<std::uint64_t>(
-                     cost.write_conflicts)),
-                 fmt_sig3(cost.write_conflicts /
-                          static_cast<double>(data.size()))});
-    }
-    t.print(std::cout);
-    std::cout << "(bipartite conflicts grow with workers but stay well "
-                 "below one per update — why cuMF-SGD's GPU Hogwild "
-                 "works where the linear-model one loses)\n\n";
-  }
-
-  // ---- 2. Heterogeneous CPU+GPU ----
-  std::cout << "=== future work 2: heterogeneous CPU+GPU sync SGD ===\n\n";
+  // ---- Heterogeneous CPU+GPU ----
+  std::cout << "=== future work: heterogeneous CPU+GPU sync SGD ===\n\n";
   {
     GeneratorOptions gen;
     gen.scale = scale;

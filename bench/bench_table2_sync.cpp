@@ -51,12 +51,14 @@ int main(int argc, char** argv) {
 
         add_dataset(rep, study.dataset(task, ds));
         const std::string key = std::string(to_string(task)) + "/" + ds;
-        rep.add_entry(entry_from(key + "/sync/gpu", task, ds, Update::kSync,
-                                 Arch::kGpu, gpu));
-        rep.add_entry(entry_from(key + "/sync/cpu-seq", task, ds,
-                                 Update::kSync, Arch::kCpuSeq, seq));
-        rep.add_entry(entry_from(key + "/sync/cpu-par", task, ds,
-                                 Update::kSync, Arch::kCpuPar, par));
+        rep.add_entry(report::Entry::from(key + "/sync/gpu", task, ds,
+                                          Update::kSync, Arch::kGpu, gpu));
+        rep.add_entry(report::Entry::from(key + "/sync/cpu-seq", task, ds,
+                                          Update::kSync, Arch::kCpuSeq,
+                                          seq));
+        rep.add_entry(report::Entry::from(key + "/sync/cpu-par", task, ds,
+                                          Update::kSync, Arch::kCpuPar,
+                                          par));
       }
       table.add_rule();
     });

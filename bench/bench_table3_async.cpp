@@ -54,12 +54,14 @@ int main(int argc, char** argv) {
 
         add_dataset(rep, study.dataset(task, ds));
         const std::string key = std::string(to_string(task)) + "/" + ds;
-        rep.add_entry(entry_from(key + "/async/gpu", task, ds,
-                                 Update::kAsync, Arch::kGpu, gpu));
-        rep.add_entry(entry_from(key + "/async/cpu-seq", task, ds,
-                                 Update::kAsync, Arch::kCpuSeq, seq));
-        rep.add_entry(entry_from(key + "/async/cpu-par", task, ds,
-                                 Update::kAsync, Arch::kCpuPar, par));
+        rep.add_entry(report::Entry::from(key + "/async/gpu", task, ds,
+                                          Update::kAsync, Arch::kGpu, gpu));
+        rep.add_entry(report::Entry::from(key + "/async/cpu-seq", task, ds,
+                                          Update::kAsync, Arch::kCpuSeq,
+                                          seq));
+        rep.add_entry(report::Entry::from(key + "/async/cpu-par", task, ds,
+                                          Update::kAsync, Arch::kCpuPar,
+                                          par));
       }
       table.add_rule();
     });

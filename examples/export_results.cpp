@@ -1,5 +1,7 @@
-// Runs a small slice of the study and exports the results as CSV and
-// JSON — the machine-readable path for downstream analysis pipelines.
+// Runs a small slice of the study and exports the results as a RunReport
+// — the machine-readable path for downstream analysis pipelines. --json
+// writes the versioned report document (what parsgd_compare reads),
+// --csv its one-row-per-configuration CSV view.
 //
 //   ./export_results [--task=LR] [--dataset=w8a] [--csv=out.csv]
 //                    [--json=out.json]
@@ -8,8 +10,9 @@
 #include <iostream>
 
 #include "common/cli.hpp"
-#include "core/export.hpp"
+#include "common/timer.hpp"
 #include "core/study.hpp"
+#include "report/report.hpp"
 
 using namespace parsgd;
 
@@ -30,28 +33,39 @@ int main(int argc, char** argv) {
   opts.full_epochs_mlp_sync = 80;
   Study study(opts);
 
-  std::vector<ExportRow> rows;
+  const Timer host_timer;
+  report::RunReport rep("export_results");
+  rep.seed = opts.seed;
+  rep.threads = opts.cpu_threads;
+  rep.scale = opts.scale;
+  rep.datasets.push_back(
+      report::DatasetInfo::from(study.dataset(task, dataset)));
   for (const Update update : {Update::kSync, Update::kAsync}) {
     for (const Arch arch : {Arch::kCpuSeq, Arch::kCpuPar, Arch::kGpu}) {
       const ConfigResult r = study.config_result(task, dataset, update, arch);
-      rows.push_back(ExportRow::from(task, dataset, update, arch, r));
+      const std::string label = std::string(to_string(task)) + "/" + dataset +
+                                "/" + to_string(update) + "/" +
+                                to_string(arch);
+      rep.add_entry(
+          report::Entry::from(label, task, dataset, update, arch, r));
     }
   }
+  rep.host_seconds = host_timer.seconds();
 
   const std::string csv_path = cli.get("csv", "");
   const std::string json_path = cli.get("json", "");
   if (!csv_path.empty()) {
     std::ofstream os(csv_path);
-    write_csv(os, rows);
+    report::write_csv(os, rep);
     std::printf("wrote %s\n", csv_path.c_str());
   }
   if (!json_path.empty()) {
     std::ofstream os(json_path);
-    write_json(os, rows);
+    report::write_report(os, rep);
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (csv_path.empty() && json_path.empty()) {
-    write_csv(std::cout, rows);
+    report::write_csv(std::cout, rep);
   }
   return 0;
 }

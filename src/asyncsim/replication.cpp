@@ -1,8 +1,8 @@
 #include "asyncsim/replication.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "asyncsim/conflict_ledger.hpp"
 #include "common/check.hpp"
 
 namespace parsgd {
@@ -18,17 +18,11 @@ const char* to_string(Replication r) {
 
 namespace {
 
-// Hogwild loop bookkeeping constants — same calibration as AsyncSim.
-constexpr double kLoopFlopsPerExample = 600.0;
-constexpr double kLoopFlopsPerNnz = 16.0;
-
 // A PerNode replica is only contended by same-socket workers, whose line
 // transfers stay on the local ring (~35% of the cross-socket RFO cost the
 // coherency model charges). Expressed as a conflict-count discount so the
 // downstream CpuModel conversion keeps a single penalty constant.
 constexpr double kIntraSocketDiscount = 0.35;
-
-std::uint32_t line_of(index_t j) { return j / (64 / sizeof(real_t)); }
 
 }  // namespace
 
@@ -91,17 +85,17 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
   for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
   rng.shuffle(order);
 
-  struct LineEntry {
-    int last_worker = -1;
-    bool multi = false;
-    double events = 0;
+  std::vector<detail::ConflictWindow> windows(replicas_);
+  const auto flush_windows = [&] {
+    for (detail::ConflictWindow& win : windows) {
+      cost.write_conflicts += win.conflicts();
+      win.clear();
+    }
   };
-  std::vector<std::unordered_map<std::uint32_t, LineEntry>> lines(replicas_);
   std::vector<index_t> touched;
   std::vector<std::uint32_t> line_scratch;
 
   std::size_t since_sync = 0;
-  double averagings = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const int worker = static_cast<int>(i % workers);
     const std::size_t r = replica_of(worker);
@@ -109,24 +103,12 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
     model_.example_step(x, data_.y[order[i]], alpha, views[r], views[r],
                         &touched);
 
-    line_scratch.clear();
-    for (const index_t j : touched) line_scratch.push_back(line_of(j));
-    std::sort(line_scratch.begin(), line_scratch.end());
-    line_scratch.erase(
-        std::unique(line_scratch.begin(), line_scratch.end()),
-        line_scratch.end());
-    for (const std::uint32_t ln : line_scratch) {
-      auto& e = lines[r][ln];
-      if (e.last_worker != worker) {
-        if (e.last_worker != -1) e.multi = true;
-        e.last_worker = worker;
-      }
-      ++e.events;
-    }
+    detail::touched_lines(touched, line_scratch);
+    for (const std::uint32_t ln : line_scratch) windows[r].record(worker, ln);
 
     const std::size_t k = x.touched();
-    cost.flops += model_.step_flops(k) + kLoopFlopsPerExample +
-                  kLoopFlopsPerNnz * static_cast<double>(k);
+    cost.flops += model_.step_flops(k) + detail::kLoopFlopsPerExample +
+                  detail::kLoopFlopsPerNnz * static_cast<double>(k);
     cost.model_reads += static_cast<double>(k);
     cost.model_writes += static_cast<double>(touched.size());
     cost.bytes_random +=
@@ -138,15 +120,9 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
       since_sync = 0;
       // Conflict windows flush on the same cadence for every strategy so
       // the counts are comparable.
-      for (auto& m : lines) {
-        for (const auto& [ln, e] : m) {
-          if (e.multi) cost.write_conflicts += e.events;
-        }
-        m.clear();
-      }
+      flush_windows();
       if (replicas_ > 1) {
         average_into(w, views);
-        averagings += 1;
         // Averaging traffic: every replica streams the model both ways.
         cost.bytes_streamed +=
             2.0 * static_cast<double>(replicas_) * dim * sizeof(real_t);
@@ -155,12 +131,7 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
     }
   }
 
-  for (auto& m : lines) {
-    for (const auto& [ln, e] : m) {
-      if (e.multi) cost.write_conflicts += e.events;
-    }
-    m.clear();
-  }
+  flush_windows();
   if (opts_.strategy == Replication::kPerNode) {
     cost.write_conflicts *= kIntraSocketDiscount;
   }
@@ -169,7 +140,6 @@ CostBreakdown ReplicatedHogwild::run_epoch(std::span<real_t> w,
   } else {
     std::copy(views[0].begin(), views[0].end(), w.begin());
   }
-  (void)averagings;
   return cost;
 }
 

@@ -1,4 +1,5 @@
-// Human-readable formatting helpers used by the report/table printers.
+// Formatting helpers used by the report/table printers and the JSON
+// writers.
 #pragma once
 
 #include <string>
@@ -19,5 +20,9 @@ std::string format_count(std::uint64_t n);
 
 /// "12.5%" from a fraction 0.125.
 std::string format_percent(double fraction, int prec = 2);
+
+/// Escapes a string for embedding in a JSON document: quote, backslash
+/// and control characters; other bytes (UTF-8 included) pass through.
+std::string json_escape(const std::string& s);
 
 }  // namespace parsgd

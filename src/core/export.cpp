@@ -1,17 +1,14 @@
 #include "core/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
+
+#include "common/format.hpp"
 
 namespace parsgd {
 
 namespace {
-
-double ttc_or_negative(const ConvergencePoint& p) {
-  return p.reached ? p.seconds : -1.0;
-}
 
 std::string num(double v) {
   std::ostringstream os;
@@ -22,25 +19,6 @@ std::string num(double v) {
 
 }  // namespace
 
-ExportRow ExportRow::from(Task task, const std::string& dataset,
-                          Update update, Arch arch, const ConfigResult& r) {
-  ExportRow row;
-  row.task = to_string(task);
-  row.dataset = dataset;
-  row.update = to_string(update);
-  row.arch = to_string(arch);
-  row.alpha = r.alpha;
-  row.sec_per_epoch = r.sec_per_epoch;
-  row.ttc_10 = ttc_or_negative(r.ttc[0]);
-  row.ttc_5 = ttc_or_negative(r.ttc[1]);
-  row.ttc_2 = ttc_or_negative(r.ttc[2]);
-  row.ttc_1 = ttc_or_negative(r.ttc[3]);
-  row.epochs_1 =
-      r.ttc[3].reached ? static_cast<double>(r.ttc[3].epochs) : -1.0;
-  row.diverged = r.diverged;
-  return row;
-}
-
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
   std::string out = "\"";
@@ -50,42 +28,6 @@ std::string csv_escape(const std::string& s) {
   }
   out += '"';
   return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void write_csv(std::ostream& os, const std::vector<ExportRow>& rows) {
-  os << "task,dataset,update,arch,alpha,sec_per_epoch,"
-        "ttc_10pct,ttc_5pct,ttc_2pct,ttc_1pct,epochs_1pct,diverged\n";
-  for (const auto& r : rows) {
-    os << csv_escape(r.task) << ',' << csv_escape(r.dataset) << ','
-       << csv_escape(r.update) << ',' << csv_escape(r.arch) << ','
-       << num(r.alpha) << ',' << num(r.sec_per_epoch) << ','
-       << num(r.ttc_10) << ',' << num(r.ttc_5) << ',' << num(r.ttc_2)
-       << ',' << num(r.ttc_1) << ',' << num(r.epochs_1) << ','
-       << (r.diverged ? "true" : "false") << '\n';
-  }
 }
 
 // ---- telemetry exporters -------------------------------------------------
@@ -193,25 +135,6 @@ void write_metrics_prometheus(std::ostream& os,
         break;
     }
   }
-}
-
-void write_json(std::ostream& os, const std::vector<ExportRow>& rows) {
-  os << "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    os << "  {\"task\":\"" << json_escape(r.task) << "\","
-       << "\"dataset\":\"" << json_escape(r.dataset) << "\","
-       << "\"update\":\"" << json_escape(r.update) << "\","
-       << "\"arch\":\"" << json_escape(r.arch) << "\","
-       << "\"alpha\":" << num(r.alpha) << ","
-       << "\"sec_per_epoch\":" << num(r.sec_per_epoch) << ","
-       << "\"ttc\":{\"p10\":" << num(r.ttc_10) << ",\"p5\":" << num(r.ttc_5)
-       << ",\"p2\":" << num(r.ttc_2) << ",\"p1\":" << num(r.ttc_1) << "},"
-       << "\"epochs_1pct\":" << num(r.epochs_1) << ","
-       << "\"diverged\":" << (r.diverged ? "true" : "false") << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
 }
 
 }  // namespace parsgd

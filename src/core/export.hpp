@@ -1,42 +1,16 @@
-// Machine-readable export of study results: CSV rows per configuration
-// (for spreadsheets/plotting) and a compact JSON document per
-// (task, dataset) group (for downstream tooling). The bench binaries print
-// human tables; these writers let a pipeline consume the same numbers.
+// Telemetry exporters (DESIGN.md §12): a TelemetrySession's trace as
+// Chrome trace-event JSON and a metrics snapshot as CSV or Prometheus
+// text. Study results are exported through report/ (RunReport JSON and
+// its CSV view), not here.
 #pragma once
 
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "core/study.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/session.hpp"
 
 namespace parsgd {
-
-/// One exported record: a configuration plus its measures.
-struct ExportRow {
-  std::string task;
-  std::string dataset;
-  std::string update;
-  std::string arch;
-  double alpha = 0;
-  double sec_per_epoch = 0;
-  // Convergence at the paper's four thresholds; negative = not reached.
-  double ttc_10 = -1, ttc_5 = -1, ttc_2 = -1, ttc_1 = -1;
-  double epochs_1 = -1;
-  bool diverged = false;
-
-  static ExportRow from(Task task, const std::string& dataset,
-                        Update update, Arch arch, const ConfigResult& r);
-};
-
-/// Writes a CSV with a header row. Fields are RFC-4180-quoted as needed.
-void write_csv(std::ostream& os, const std::vector<ExportRow>& rows);
-
-/// Writes a JSON array of objects (hand-rolled; no external dependency).
-void write_json(std::ostream& os, const std::vector<ExportRow>& rows);
-
-/// Escapes a string for embedding in a JSON document.
-std::string json_escape(const std::string& s);
 
 /// Escapes a CSV field (quotes when the field contains , " or newline).
 std::string csv_escape(const std::string& s);

@@ -37,6 +37,9 @@
 //   poison=P        each update is poisoned (NaN gradient from a bad
 //                   example) with probability P; with sanitization on the
 //                   update is quarantined instead of applied.
+// async/gpu applies its updates inside the GPU simulators, so it honours
+// only the epoch-start events (flip, crash, hang); try_parse_spec rejects
+// nan@/inf@, straggler=, drop= and poison= there.
 #pragma once
 
 #include <cstddef>
@@ -81,7 +84,8 @@ struct FaultPlan {
   std::size_t hang_ms = 250;
 
   /// One-shot cluster node failure: node `nodedown_node` is down for
-  /// epoch `nodedown_epoch`. Cluster engines only; a no-op elsewhere.
+  /// epoch `nodedown_epoch`. Cluster engines only; try_parse_spec rejects
+  /// it on every other arch.
   std::size_t nodedown_epoch = kNever;
   std::size_t nodedown_node = 0;
 

@@ -120,27 +120,23 @@ void FaultInjector::note_node_recovered() {
   if (trace_ != nullptr) trace_->instant("fault.node_recovered", {});
 }
 
-void FaultInjector::after_updates(std::size_t steps, std::span<real_t> w) {
+void FaultInjector::after_update(std::span<real_t> w) {
   if (!active()) return;
-  const std::size_t before = step_;
-  step_ += steps;
-  if (plan_.poison_prob > 0 && !sanitize_) {
+  const std::size_t step = step_++;
+  if (plan_.poison_prob > 0 && !sanitize_ &&
+      rng_.bernoulli(plan_.poison_prob)) {
     // Unsanitized poisoned examples reach the weights: one draw per
     // applied step, NaN on a hit. (Sanitized runs draw in drop_update()
     // instead — the poisoned update is caught before it is applied.)
-    for (std::size_t i = 0; i < steps; ++i) {
-      if (!rng_.bernoulli(plan_.poison_prob)) continue;
-      for (real_t& x : w) x = std::numeric_limits<real_t>::quiet_NaN();
-      ++counts_.poisoned;
-      if (c_poisoned_ != nullptr) c_poisoned_->inc();
-      if (trace_ != nullptr) {
-        trace_->instant("fault.poison",
-                        {{"step", static_cast<double>(before + i)}});
-      }
+    for (real_t& x : w) x = std::numeric_limits<real_t>::quiet_NaN();
+    ++counts_.poisoned;
+    if (c_poisoned_ != nullptr) c_poisoned_->inc();
+    if (trace_ != nullptr) {
+      trace_->instant("fault.poison", {{"step", static_cast<double>(step)}});
     }
   }
   if (corrupt_fired_ || plan_.corrupt == FaultPlan::Corrupt::kNone) return;
-  if (before <= plan_.corrupt_step && plan_.corrupt_step < step_) {
+  if (step == plan_.corrupt_step) {
     corrupt_fired_ = true;
     const real_t bad = plan_.corrupt == FaultPlan::Corrupt::kNan
                            ? std::numeric_limits<real_t>::quiet_NaN()

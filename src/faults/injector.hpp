@@ -55,7 +55,7 @@ class FaultInjector {
 
   /// Turns on gradient sanitization: poisoned updates are quarantined in
   /// drop_update() (computed, caught, discarded) instead of reaching the
-  /// weights through after_updates(). Written while no epoch is running.
+  /// weights through after_update(). Written while no epoch is running.
   void set_sanitize(bool on) { sanitize_ = on; }
 
   /// Repositions the epoch clock (run start, rollback, resume). Fired
@@ -67,12 +67,11 @@ class FaultInjector {
   /// worker stall. Advances the epoch clock.
   void begin_epoch(std::span<real_t> w);
 
-  /// Update-step hooks: advance the run-global step counter by 1 / `steps`
-  /// and, when the counter crosses the planned corruption step, poison all
-  /// of `w` with NaN/Inf (one-shot). Unsanitized example poisoning also
-  /// fires here, one bernoulli draw per step.
-  void after_update(std::span<real_t> w) { after_updates(1, w); }
-  void after_updates(std::size_t steps, std::span<real_t> w);
+  /// Update-step hook: advances the run-global step counter by one and,
+  /// at the planned corruption step, poisons all of `w` with NaN/Inf
+  /// (one-shot). Unsanitized example poisoning also fires here, one
+  /// bernoulli draw per step.
+  void after_update(std::span<real_t> w);
 
   /// "No node" result of node_down_this_epoch().
   static constexpr std::size_t kNoNode = ~std::size_t{0};

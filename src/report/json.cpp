@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
-#include "core/export.hpp"  // json_escape
+#include "common/format.hpp"
 
 namespace parsgd::report {
 

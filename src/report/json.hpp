@@ -1,8 +1,9 @@
 // Minimal JSON document model + recursive-descent parser for the run-report
-// subsystem (DESIGN.md §13). Hand-rolled like core/export's writers — the
-// container ships no JSON dependency — but unlike those one-way writers
-// this one round-trips: parse(dump(v)) == v, and numbers are printed with
-// max_digits10 precision so every finite double survives bit-exactly.
+// subsystem (DESIGN.md §13). Hand-rolled, with no JSON library
+// dependency, and round-trippable: parse(dump(v)) == v, and numbers are
+// printed with max_digits10 precision so every finite double survives
+// bit-exactly. Strings are escaped by common/format's json_escape, the
+// one JSON escaper every writer in the tree shares.
 //
 // Scope: exactly what report files need. Objects preserve insertion order
 // (dump output is deterministic), strings are UTF-8 passed through opaque,

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "core/export.hpp"
 #include "kernel/kernels.hpp"
 #include "report/build_info.hpp"
 #include "report/json.hpp"
@@ -112,6 +113,32 @@ Axes Axes::from(const RunResult& run, double optimal_loss) {
     a.ttc_1pct = c1.seconds;
   }
   return a;
+}
+
+Entry Entry::from(std::string label, Task task, const std::string& dataset,
+                  Update update, Arch arch, const ConfigResult& r) {
+  Entry e;
+  e.label = std::move(label);
+  e.task = to_string(task);
+  e.dataset = dataset;
+  e.spec = std::string(to_string(update)) + "/" + to_string(arch);
+  e.alpha = r.alpha;
+  e.diverged = r.diverged;
+  e.axes.sec_per_epoch = r.sec_per_epoch;
+  if (r.run) {
+    e.axes.modeled_total_seconds = r.run->total_seconds();
+    e.series_loss = r.run->losses;
+    e.series_seconds = r.run->epoch_seconds;
+  }
+  if (r.ttc[0].reached) {
+    e.axes.epochs_to_10pct = static_cast<double>(r.ttc[0].epochs);
+    e.axes.ttc_10pct = r.ttc[0].seconds;
+  }
+  if (r.ttc[3].reached) {
+    e.axes.epochs_to_1pct = static_cast<double>(r.ttc[3].epochs);
+    e.axes.ttc_1pct = r.ttc[3].seconds;
+  }
+  return e;
 }
 
 KernelReport KernelReport::from(const std::string& name,
@@ -330,6 +357,24 @@ void write_report(std::ostream& os, const RunReport& report) {
   doc.set("kernels", std::move(kernels));
 
   os << doc.dump(2) << '\n';
+}
+
+void write_csv(std::ostream& os, const RunReport& report) {
+  os << "label,task,dataset,spec,alpha,diverged,sec_per_epoch,"
+        "epochs_to_10pct,epochs_to_1pct,ttc_10pct,ttc_1pct,"
+        "modeled_total_seconds\n";
+  for (const Entry& e : report.entries) {
+    const Axes& a = e.axes;
+    os << csv_escape(e.label) << ',' << csv_escape(e.task) << ','
+       << csv_escape(e.dataset) << ',' << csv_escape(e.spec) << ','
+       << json_number(num(e.alpha)) << ',' << (e.diverged ? "true" : "false");
+    for (const double v : {a.sec_per_epoch, a.epochs_to_10pct,
+                           a.epochs_to_1pct, a.ttc_10pct, a.ttc_1pct,
+                           a.modeled_total_seconds}) {
+      os << ',' << json_number(num(v));
+    }
+    os << '\n';
+  }
 }
 
 RunReport read_report(std::istream& is) {

@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/study.hpp"
 #include "data/dataset.hpp"
 #include "gpusim/device.hpp"
 #include "sgd/engine.hpp"
@@ -180,6 +181,12 @@ struct Entry {
   ClusterSlice cluster;
   /// Optional time-attribution snapshot (see AttributionSlice).
   AttributionSlice attribution;
+
+  /// Entry for one study configuration: spec "update/arch", the Axes
+  /// from the 10% and 1% convergence levels (ttc[0] and ttc[3] of
+  /// kConvergenceLevels), and the trajectory as the series slice.
+  static Entry from(std::string label, Task task, const std::string& dataset,
+                    Update update, Arch arch, const ConfigResult& r);
 };
 
 /// Per-kernel simulator statistics with the modeled cycles attributed to
@@ -237,6 +244,11 @@ struct RunReport {
 
 /// Writes the versioned JSON document (pretty-printed, deterministic).
 void write_report(std::ostream& os, const RunReport& report);
+
+/// Writes the CSV view of `report`: a header row, then one row per entry
+/// with its label, task, dataset, spec, alpha, diverged flag and the Axes
+/// columns (-1 = not reached). Numbers use the JSON document's precision.
+void write_csv(std::ostream& os, const RunReport& report);
 
 /// Parses a report; throws CheckError on malformed input or on a
 /// schema_version other than kSchemaVersion.

@@ -82,9 +82,6 @@ double AsyncGpuEngine::run_epoch(std::span<real_t> w, real_t alpha,
   faults_.begin_epoch(w);
   const CostBreakdown cost = hogwild_ ? hogwild_->run_epoch(w, alpha, rng)
                                       : hogbatch_->run_epoch(w, alpha, rng);
-  // The GPU simulators apply updates internally; account for them in bulk
-  // so step-indexed corruption still lands inside the right epoch.
-  faults_.after_updates(n_units_, w);
   if (telemetry_ != nullptr && telemetry_->metrics_enabled()) {
     telemetry::MetricsRegistry& reg = telemetry_->metrics();
     reg.counter("async.updates").add(static_cast<double>(n_units_));

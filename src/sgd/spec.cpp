@@ -275,7 +275,25 @@ std::optional<EngineSpec> try_parse_spec(const std::string& text,
         s.telemetry = *mode;
       } else {
         switch (parse_fault_key(key, val, &s.faults)) {
-          case FaultKeyParse::kParsed: break;
+          case FaultKeyParse::kParsed:
+            // Reject what the engine would silently ignore. async/gpu
+            // applies its updates inside the GPU simulators, with no
+            // per-step seam for drops, straggles, poison or NaN/Inf
+            // corruption; only cluster engines have nodes to take down.
+            if (s.update == Update::kAsync && s.arch == Arch::kGpu &&
+                (s.faults.drop_prob > 0 || s.faults.straggler_prob > 0 ||
+                 s.faults.poison_prob > 0 ||
+                 s.faults.corrupt != FaultPlan::Corrupt::kNone)) {
+              return parse_fail(error, "'" + kv +
+                                           "' is not supported by async/gpu "
+                                           "(no per-step fault seam)");
+            }
+            if (s.arch != Arch::kCluster &&
+                s.faults.nodedown_epoch != FaultPlan::kNever) {
+              return parse_fail(error, "'" + kv +
+                                           "' only applies to arch=cluster");
+            }
+            break;
           case FaultKeyParse::kMalformed:
             return parse_fail(error, "bad value in fault option '" + kv +
                                          "'");

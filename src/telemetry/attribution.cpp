@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/format.hpp"
+
 namespace parsgd::telemetry {
 
 namespace {
@@ -34,29 +36,6 @@ std::string num(double v) {
   os.precision(10);
   os << v;
   return os.str();
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void append_split(std::ostringstream& os, const std::vector<BucketView>& split) {
@@ -175,7 +154,7 @@ std::string format_status_line(const RunStatus& s) {
 
 std::string status_json(const RunStatus& s) {
   std::ostringstream os;
-  os << "{\"schema\":2,\"engine\":\"" << escape(s.engine) << "\""
+  os << "{\"schema\":2,\"engine\":\"" << json_escape(s.engine) << "\""
      << ",\"epoch\":" << s.epoch << ",\"epochs\":" << s.epochs_total
      << ",\"loss\":" << num(s.loss) << ",\"eta_s\":" << num(s.eta_s);
   if (s.has_resilience) {

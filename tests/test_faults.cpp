@@ -12,6 +12,7 @@
 #include <cmath>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "common/check.hpp"
 #include "core/study.hpp"
@@ -139,6 +140,56 @@ TEST(FaultSpec, RejectsMalformedPlans) {
            "async/cpu-par/sparse:poison=1.5",         // prob > 1
        }) {
     EXPECT_FALSE(try_parse_spec(text).has_value()) << text;
+  }
+}
+
+TEST(FaultSpec, RejectsKeysTheEngineCannotHonour) {
+  // async/gpu has no per-step fault seam and only cluster engines have
+  // nodes: the spec is refused, naming the token, instead of running
+  // fault-free.
+  for (const auto& [text, token] : {
+           std::pair{"async/gpu/sparse:drop=0.3", "'drop=0.3'"},
+           std::pair{"async/gpu/sparse:straggler=0.5", "'straggler=0.5'"},
+           std::pair{"async/gpu/dense:batch=64,poison=0.1", "'poison=0.1'"},
+           std::pair{"async/gpu/sparse:faults=nan@3", "'faults=nan@3'"},
+           std::pair{"async/gpu/sparse:faults=flip@1+inf@3",
+                     "'faults=flip@1+inf@3'"},
+           std::pair{"sync/cpu-par/sparse:faults=nodedown@2",
+                     "'faults=nodedown@2'"},
+           std::pair{"async/gpu/sparse:faults=nodedown@2:1",
+                     "'faults=nodedown@2:1'"},
+           std::pair{"sync/cpu+gpu/sparse:faults=nodedown@1",
+                     "'faults=nodedown@1'"},
+       }) {
+    std::string error;
+    EXPECT_FALSE(try_parse_spec(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(token), std::string::npos) << text << ": " << error;
+  }
+  // The epoch-start events async/gpu does honour, and nodedown on a
+  // cluster, still parse.
+  EXPECT_TRUE(
+      try_parse_spec("async/gpu/sparse:faults=flip@4+crash@9+hang@2")
+          .has_value());
+  EXPECT_TRUE(
+      try_parse_spec("async/cluster/sparse:faults=nodedown@2").has_value());
+}
+
+TEST(FaultSpec, EveryFamilyHonoursOrRejectsDrop) {
+  Fixture f;
+  for (const EngineSpec& canonical : registered_specs()) {
+    const std::string clean = format_spec(canonical);
+    const std::string text =
+        clean + (clean.find(':') == std::string::npos ? ":" : ",") +
+        "drop=0.3";
+    std::string error;
+    if (!try_parse_spec(text, &error).has_value()) {
+      EXPECT_NE(error.find("'drop=0.3'"), std::string::npos)
+          << text << ": " << error;
+      continue;
+    }
+    EXPECT_NE(f.run(text, real_t(0.05), epochs(5)).losses,
+              f.run(clean, real_t(0.05), epochs(5)).losses)
+        << text << " ignores drop=";
   }
 }
 

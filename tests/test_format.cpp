@@ -40,5 +40,11 @@ TEST(Format, Fixed) {
   EXPECT_EQ(format_fixed(3.14159, 0), "3");
 }
 
+TEST(Format, JsonEscaping) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(json_escape(std::string("\x01")), "\\u0001");
+}
+
 }  // namespace
 }  // namespace parsgd

@@ -5,6 +5,7 @@
 // training trajectory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -309,6 +310,56 @@ TEST(ReportAxes, EmptyRunIsAllSentinels) {
   const Axes a = Axes::from(RunResult{}, 1.0);
   EXPECT_EQ(a.sec_per_epoch, -1);
   EXPECT_EQ(a.modeled_total_seconds, -1);
+}
+
+// ---- study entries and the CSV view --------------------------------------
+
+TEST(ReportEntry, FromConfigResult) {
+  ConfigResult r;
+  r.alpha = 0.5;
+  r.sec_per_epoch = 0.25;
+  r.ttc[0].reached = true;
+  r.ttc[0].epochs = 6;
+  r.ttc[0].seconds = 1.5;
+  r.ttc[3].reached = false;
+  const Entry e = Entry::from("SVM/news/sync/gpu", Task::kSvm, "news",
+                              Update::kSync, Arch::kGpu, r);
+  EXPECT_EQ(e.label, "SVM/news/sync/gpu");
+  EXPECT_EQ(e.task, "SVM");
+  EXPECT_EQ(e.dataset, "news");
+  EXPECT_EQ(e.spec, "sync/gpu");
+  EXPECT_DOUBLE_EQ(e.alpha, 0.5);
+  EXPECT_DOUBLE_EQ(e.axes.sec_per_epoch, 0.25);
+  EXPECT_DOUBLE_EQ(e.axes.epochs_to_10pct, 6.0);
+  EXPECT_DOUBLE_EQ(e.axes.ttc_10pct, 1.5);
+  EXPECT_DOUBLE_EQ(e.axes.epochs_to_1pct, -1.0);
+  EXPECT_DOUBLE_EQ(e.axes.ttc_1pct, -1.0);
+  // No trajectory: no modeled total and no series slice.
+  EXPECT_DOUBLE_EQ(e.axes.modeled_total_seconds, -1.0);
+  EXPECT_TRUE(e.series_loss.empty());
+}
+
+TEST(ReportCsv, OneRowPerEntryWithEscaping) {
+  RunReport rep("unit");
+  Entry e;
+  e.label = "LR/rcv,1\"x/async/cpu-par";  // exercise escaping
+  e.task = "LR";
+  e.dataset = "rcv,1\"x";
+  e.spec = "async/cpu-par";
+  e.alpha = 0.5;
+  e.axes.sec_per_epoch = 0.25;
+  e.axes.ttc_1pct = 4.5;
+  e.axes.epochs_to_1pct = 65;
+  rep.add_entry(e);
+  std::ostringstream os;
+  report::write_csv(os, rep);
+  const std::string out = os.str();
+  EXPECT_EQ(out.rfind("label,task,dataset,spec,alpha,diverged,", 0), 0u);
+  EXPECT_NE(out.find("\"rcv,1\"\"x\""), std::string::npos);
+  EXPECT_NE(out.find(",async/cpu-par,0.5,false,0.25,-1,65,-1,4.5,-1\n"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
 }
 
 // ---- regression comparator -----------------------------------------------
